@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench perf bench-json bench-check bench-compare queries store crash-smoke scenarios serve loadtest fuzz fuzz-smoke coverage report report-check docs-check hygiene-check all
+.PHONY: test bench bench-check bench-compare queries store crash-smoke scenarios serve fuzz fuzz-smoke coverage report report-check docs-check hygiene-check all
 
 # Tier-1 suite: unit/integration tests plus the benchmark reproductions
 # at tiny scale (same command CI runs).
@@ -11,14 +11,6 @@ test:
 # Paper table/figure reproductions only, with their printed reports.
 bench:
 	$(PYTHON) -m pytest benchmarks -q -s
-
-# The performance benchmarks on their own.
-perf:
-	$(PYTHON) -m pytest benchmarks/test_perf_inference_engine.py benchmarks/test_perf_streaming.py benchmarks/test_perf_runtime.py benchmarks/test_perf_queries.py -q -s
-
-# Machine-readable runtime benchmarks -> BENCH_runtime.json (the CI artifact).
-bench-json:
-	$(PYTHON) -m repro.bench --tiny --out BENCH_runtime.json
 
 # Query-engine smoke: the example tour plus the machine-readable
 # indexed-vs-scan suite -> BENCH_queries.json.
@@ -41,17 +33,13 @@ crash-smoke:
 bench-check:
 	$(PYTHON) tools/check_bench.py
 
-# The perf-regression gate CI runs: regenerate the tiny runtime + query +
-# service reports and compare them against the committed baselines (the
-# service suite gets a wider tolerance — its latency ratios carry more
-# scheduler noise; agreement stays zero-tolerance).
+# The component regression gate CI runs: regenerate the tiny query + store
+# reports and compare them against the committed baselines (agreement
+# stays zero-tolerance).
 bench-compare:
-	$(PYTHON) -m repro.bench --tiny --out BENCH_runtime.json
 	$(PYTHON) -m repro.bench --tiny --queries --out BENCH_queries.json
-	$(PYTHON) -m repro.bench --service --out BENCH_service.json
 	$(PYTHON) -m repro.bench --store --tiny --out BENCH_store.json
-	$(PYTHON) tools/check_bench.py BENCH_runtime.json BENCH_queries.json --compare benchmarks/baselines --tolerance 0.5 --suite-tolerance runtime=0.3
-	$(PYTHON) tools/check_bench.py BENCH_service.json --compare benchmarks/baselines --tolerance 0.75
+	$(PYTHON) tools/check_bench.py BENCH_queries.json --compare benchmarks/baselines --tolerance 0.5
 	$(PYTHON) tools/check_bench.py BENCH_store.json --compare benchmarks/baselines --suite-tolerance store=0.6
 
 # List the scenario catalogue, then materialise the smallest scenario
@@ -65,14 +53,6 @@ SCENARIO ?= mall-tiny
 PORT ?= 8073
 serve:
 	$(PYTHON) -m repro.net --serve --scenario $(SCENARIO) --port $(PORT)
-
-# Self-hosted open-loop loadtest -> run_table.csv (override RATE/DURATION;
-# repeat rates by calling the module directly with several --rate flags).
-RATE ?= 20
-DURATION ?= 10
-loadtest:
-	$(PYTHON) -m repro.net --loadtest --scenario $(SCENARIO) \
-		--rate $(RATE) --duration $(DURATION) --out run_table.csv
 
 # Pinned-seed fuzz smoke: the deterministic check CI runs on every PR.
 fuzz-smoke:

@@ -34,7 +34,7 @@ def bench_mall_scenario(name: str = "bench-mall") -> Scenario:
     """Materialise the mall workload at the selected bench scale.
 
     Goes through the same :func:`~repro.evaluation.experiments.mall_scenario_spec`
-    the experiment runners and the bench CLI use, so the benchmark fixtures
+    the experiment runners use, so the benchmark fixtures
     and the rest of the repository name one shared workload definition
     instead of hand-building venues here.
     """

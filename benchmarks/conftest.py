@@ -41,7 +41,7 @@ def config():
 def mall_dataset():
     """The mall dataset shared by the real-data experiments (Tables III/IV, Figures 5–13).
 
-    Materialised through the scenario layer so benchmarks, tests and the
-    bench CLI share one workload definition.
+    Materialised through the scenario layer so benchmarks and tests share
+    one workload definition.
     """
     return bench_mall_scenario().dataset

@@ -1,4 +1,4 @@
-"""A tour of the HTTP front door and the open-loop load-testing harness.
+"""A tour of the HTTP front door.
 
 Run with::
 
@@ -12,23 +12,22 @@ The script walks the network layer end to end:
    answer is bitwise-identical to the in-process call;
 3. stream another object through the session endpoints in chunks, with
    live TkPRQ answers over HTTP while the session is still open;
-4. read the `/metrics` counters the server accumulated;
-5. drive the same server with the open-loop Poisson load generator and
-   print the resulting `run_table.csv` row.
+4. read the `/metrics` counters the server accumulated.
+
+Serving performance is measured by the repository benchmark; see
+`perfbench/METHOD.md`.
 """
 
 from __future__ import annotations
 
 import json
-import tempfile
-from pathlib import Path
 from urllib.parse import quote
 from urllib.request import Request, urlopen
 
 from repro.core.annotator import C2MNAnnotator
 from repro.core.config import C2MNConfig
 from repro.mobility.dataset import train_test_split
-from repro.net import ServerThread, run_loadtest, write_run_table
+from repro.net import ServerThread
 from repro.net.wire import record_to_wire, sequence_to_wire
 from repro.persistence.serializers import semantics_to_dicts
 from repro.scenarios import materialize
@@ -75,8 +74,7 @@ def main() -> None:
 
         print("\n== 3. Streaming a live object through the session endpoints ==")
         streamed = test.sequences[1].sequence
-        # Object ids may contain "/" (the load generator's repetition
-        # suffixes do), so they are URL-encoded in the path.
+        # Object ids may contain "/", so they are URL-encoded in the path.
         target = quote(f"{streamed.object_id}/live", safe="")
         _call(server, "POST", "/v1/sessions",
               {"object_id": f"{streamed.object_id}/live"})
@@ -98,27 +96,6 @@ def main() -> None:
             latency = metrics["latency_ms"][endpoint]["sum"]
             print(f"  {endpoint:24s} {counters['count']:4d} requests  "
                   f"{counters['errors']} errors  {latency:8.1f} ms total")
-
-        print("\n== 5. Open-loop load test against the same server ==")
-        reports = run_loadtest(
-            scenario.name,
-            host=server.host,
-            port=server.port,
-            rate=10.0,
-            duration=3.0,
-            seed=7,
-            scenario=scenario,
-            run_tag="tour",
-        )
-        path = write_run_table(reports, Path(tempfile.mkdtemp()) / "run_table.csv")
-        for report in reports:
-            print(f"  {report.run}: {report.requests} requests, "
-                  f"{report.throughput_rps:.1f} rps, "
-                  f"p50 {report.p50_latency_ms:.1f} ms, "
-                  f"p95 {report.p95_latency_ms:.1f} ms, "
-                  f"failures {report.failures} ({report.failure_rate:.2%})")
-        assert all(report.failures == 0 for report in reports)
-        print(f"  wrote {path}")
 
     print("\nserver drained and stopped")
 

@@ -1,26 +1,27 @@
-"""Machine-readable performance benchmarks (``python -m repro.bench``).
+"""Machine-readable component benchmarks (``python -m repro.bench``).
 
-This package is the repository's perf trajectory: it times the hot batch
-paths through every execution backend of :mod:`repro.runtime`, checks that
-all backends agree bitwise with the serial reference, and writes the
-measurements to a schema-versioned JSON report (``BENCH_runtime.json`` by
-default).  CI runs it at ``--tiny`` scale on every push, validates the
-output with ``tools/check_bench.py`` and uploads it as a workflow artifact,
-so regressions in the decode paths show up as numbers, not vibes.
+Two suites, each checking its accelerated path against a reference answer
+and writing a schema-versioned JSON report:
 
-The report format is documented in ``docs/ARCHITECTURE.md`` (section
-"Benchmark reports") and enforced by :data:`REQUIRED_RESULT_KEYS` /
-``tools/check_bench.py``.
+* ``--queries`` (``BENCH_queries.json``) — indexed vs scan TkPRQ/TkFRPQ
+  latency over the catalogue, plus the annotation-vs-truth precision
+  section that reproduces the paper's Figures 12–13;
+* ``--store`` (``BENCH_store.json``) — sharded ingest, WAL durability and
+  recovery, scatter-gather top-k vs the single store.
+
+CI runs both at ``--tiny`` scale, validates them with
+``tools/check_bench.py`` and gates them against
+``benchmarks/baselines/``.  End-to-end speed is the repository benchmark's
+job (``perfbench/``, see ``perfbench/METHOD.md``).
+
+The report format is documented in ``docs/BENCHMARKS.md`` and enforced by
+:data:`REQUIRED_RESULT_KEYS` / ``tools/check_bench.py``.
 """
 
 from repro.bench.runner import (
     BENCH_SCHEMA,
-    REPLICATION,
     REQUIRED_RESULT_KEYS,
     REQUIRED_TOP_KEYS,
-    build_workload,
-    run_runtime_benchmarks,
-    run_scenario_benchmarks,
     write_report,
 )
 from repro.bench.queries import (
@@ -32,7 +33,6 @@ from repro.bench.queries import (
     evaluate_query_precision,
     run_query_benchmarks,
 )
-from repro.bench.service import run_service_benchmarks
 from repro.bench.store import (
     SHARD_COUNTS,
     STORE_OBJECTS,
@@ -46,7 +46,6 @@ __all__ = [
     "build_store_workload",
     "run_store_benchmarks",
     "BENCH_SCHEMA",
-    "REPLICATION",
     "REQUIRED_RESULT_KEYS",
     "REQUIRED_TOP_KEYS",
     "PRECISION_SCENARIOS",
@@ -54,11 +53,7 @@ __all__ = [
     "QUERY_REPLICATION",
     "build_query_set",
     "build_query_workload",
-    "build_workload",
     "evaluate_query_precision",
     "run_query_benchmarks",
-    "run_runtime_benchmarks",
-    "run_scenario_benchmarks",
-    "run_service_benchmarks",
     "write_report",
 ]

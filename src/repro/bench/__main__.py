@@ -1,4 +1,4 @@
-"""Entry point: ``python -m repro.bench [--tiny] [--workers N] [--out PATH]``."""
+"""Entry point: ``python -m repro.bench (--queries | --store) [--tiny] [--out PATH]``."""
 
 import sys
 

@@ -11,7 +11,7 @@ pair is compared for equality; a mismatch lands in the report as
 ``"agreement": false``, which ``tools/check_bench.py`` treats as a hard
 failure.
 
-The report shares the ``repro.bench/1`` schema with the runtime suite.
+The report uses the shared ``repro.bench/1`` schema.
 Scan rows carry ``speedup_vs_serial = 1.0``; indexed rows carry the
 scan-over-indexed latency ratio — the number the CI perf-regression gate
 compares against the committed baseline.  Index build time is *not* part
@@ -34,6 +34,8 @@ import time
 from datetime import datetime, timezone
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.core.annotator import C2MNAnnotator
+from repro.core.config import C2MNConfig
 from repro.evaluation.harness import ground_truth_semantics
 from repro.index import SemanticsIndex
 from repro.mobility.dataset import train_test_split
@@ -55,6 +57,9 @@ QUERY_LOOPS = 3
 #: per venue archetype family — and skips the section entirely when none
 #: of them is among the requested names.
 PRECISION_SCENARIOS = ("mall-tiny", "office-tiny")
+
+#: The scaled-down fit of the precision section's C2MN.
+_FIT_CONFIG = dict(max_iterations=3, mcmc_samples=6, lbfgs_iterations=4)
 
 
 def build_query_workload(
@@ -152,15 +157,15 @@ def evaluate_query_precision(
     ``|predicted ∩ truth| / |truth|`` over the answered region (or region
     pair) sets — which is the sample the report's bootstrap CIs resample.
     """
-    from repro.bench.runner import bench_annotator
-
     section: List[Dict[str, Any]] = []
     for name in names:
         scenario = materialize_scenario(name, seed)
         train, test = train_test_split(
             scenario.dataset, train_fraction=0.5, seed=5
         )
-        annotator = bench_annotator(scenario.space)
+        annotator = C2MNAnnotator(
+            scenario.space, config=C2MNConfig.fast(**_FIT_CONFIG)
+        )
         fit_start = time.perf_counter()
         annotator.fit(train.sequences)
         fit_seconds = time.perf_counter() - fit_start

@@ -37,7 +37,7 @@ import tempfile
 import time
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.bench.queries import QUERY_KS, build_query_set
 from repro.mobility.records import EVENT_PASS, EVENT_STAY, MSemantics

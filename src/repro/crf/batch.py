@@ -30,8 +30,8 @@ The lockstep loop deliberately calls ``model.best_label`` per node rather
 than stacking score matrices across sequences: stacked BLAS matmuls of a
 different shape are *not* bitwise-equal to the per-node products on every
 platform, and bitwise agreement with the serial reference is a hard
-requirement (gated by ``tools/check_bench.py`` and the conformance
-suite).  The batch win comes from coalescing, convergence dropout and
+requirement (gated by the conformance suite,
+``tests/test_batched_decode.py``).  The batch win comes from coalescing, convergence dropout and
 per-bucket dispatch overhead, not from changing the arithmetic.
 """
 

@@ -16,8 +16,8 @@ The vectorized assembly sums exactly the same floating-point terms in
 exactly the same order as the reference path, so both engines produce
 bitwise-identical local distributions — and therefore identical labelings
 for the same RNG seed.  This is asserted label-for-label by
-``tests/test_crf_engine.py`` and timed by
-``benchmarks/test_perf_inference_engine.py``.
+``tests/test_crf_engine.py``; the repository benchmark (``perfbench/``)
+times the vectorized engine inside every decode.
 """
 
 from __future__ import annotations

@@ -122,9 +122,9 @@ def mall_scenario_spec(
     """The mall workload of one :class:`ExperimentScale` as a scenario spec.
 
     This is the single definition of the "real-style" venue/dataset pair —
-    the experiment runners, the benchmarks and the bench CLI all construct
-    it here, so the hand-built copies that used to live in the test and
-    benchmark fixtures are gone.
+    the experiment runners and the benchmarks all construct it here, so
+    the hand-built copies that used to live in the test and benchmark
+    fixtures are gone.
     """
     return ScenarioSpec(
         name=name,

@@ -27,11 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.geometry.point import IndoorPoint
 from repro.indoor.floorplan import IndoorSpace
-from repro.mobility.records import (
-    LabeledSequence,
-    PositioningRecord,
-    PositioningSequence,
-)
+from repro.mobility.records import LabeledSequence, PositioningRecord
 from repro.mobility.simulator import GroundTruthPoint, GroundTruthTrajectory
 
 

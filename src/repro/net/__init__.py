@@ -1,8 +1,7 @@
-"""The network layer: HTTP front door + open-loop load-testing harness.
+"""The network layer: the HTTP front door of the annotation service.
 
 Everything before this package speaks Python; this package puts the
-:class:`repro.service.AnnotationService` behind a real TCP socket and
-measures it the way production capacity planning would:
+:class:`repro.service.AnnotationService` behind a real TCP socket:
 
 * :mod:`repro.net.server` — a stdlib-only asyncio HTTP/1.1 server exposing
   batch annotation, the streaming session lifecycle, the TkPRQ/TkFRPQ query
@@ -11,42 +10,21 @@ measures it the way production capacity planning would:
 * :mod:`repro.net.wire` — the JSON wire format, byte-compatible with the
   persistence serialisers so HTTP answers compare bitwise against
   in-process calls;
-* :mod:`repro.net.loadgen` — an open-loop load generator (Poisson arrivals
-  at a configured rate, catalogue-scenario traffic, mixed
-  stream/annotate/query workloads) emitting one-row-per-(run, repetition)
-  ``run_table.csv`` artifacts with throughput, latency percentiles,
-  failure rate and RSS;
-* ``python -m repro.net --serve`` / ``--loadtest`` — the CLI entry points;
-  ``python -m repro.bench --service`` wraps both into the regression-gated
-  ``BENCH_service.json`` suite.
+* ``python -m repro.net --serve`` — the CLI entry point.
 
-See the "The network layer" section of ``docs/ARCHITECTURE.md`` for the
-endpoint table and the open-loop methodology.
+Serving performance is measured by the repository benchmark
+(``perfbench/``, see ``perfbench/METHOD.md``), which drives this server in
+its own process.  See the "The network layer" section of
+``docs/ARCHITECTURE.md`` for the endpoint table.
 """
 
-from repro.net.loadgen import (
-    DEFAULT_MIX,
-    LoadRunReport,
-    WorkloadPlan,
-    build_plan,
-    parse_mix,
-    run_loadtest,
-    write_run_table,
-)
 from repro.net.server import AnnotationHTTPServer, HttpError, Metrics, ServerThread
 from repro.net.wire import WireError
 
 __all__ = [
     "AnnotationHTTPServer",
-    "DEFAULT_MIX",
     "HttpError",
-    "LoadRunReport",
     "Metrics",
     "ServerThread",
     "WireError",
-    "WorkloadPlan",
-    "build_plan",
-    "parse_mix",
-    "run_loadtest",
-    "write_run_table",
 ]

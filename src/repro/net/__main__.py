@@ -1,12 +1,8 @@
-"""CLI: ``python -m repro.net --serve`` / ``python -m repro.net --loadtest``.
+"""CLI: ``python -m repro.net --serve``.
 
 ``--serve`` trains a fast C2MN on the named catalogue scenario's training
 half and serves it over HTTP until interrupted (Ctrl-C drains open sessions
-before exiting).  ``--loadtest`` drives a server — an external one via
-``--url``, otherwise a self-hosted one in a background thread — with the
-open-loop generator and writes the ``run_table.csv`` artifact; repeat
-``--rate`` to sweep several arrival rates into one table.  Exit status is
-non-zero when any run records a failure.
+before exiting).
 """
 
 from __future__ import annotations
@@ -15,15 +11,13 @@ import argparse
 import asyncio
 import signal
 import sys
-from typing import List, Optional, Sequence, Tuple
-from urllib.parse import urlsplit
+from typing import Optional, Sequence, Tuple
 
-from repro.net.loadgen import DEFAULT_MIX, LoadRunReport, run_loadtest, write_run_table
-from repro.net.server import DEFAULT_MAX_BODY, AnnotationHTTPServer, ServerThread
+from repro.net.server import DEFAULT_MAX_BODY, AnnotationHTTPServer
 from repro.scenarios import materialize, scenario_names
 from repro.service.service import AnnotationService
 
-#: The scaled-down fit shared with ``replay_scenario`` and the bench suites.
+#: The scaled-down fit shared with ``replay_scenario`` and the query suite.
 _FIT_CONFIG = dict(max_iterations=3, mcmc_samples=6, lbfgs_iterations=4)
 
 
@@ -36,8 +30,8 @@ def build_service(
 ) -> Tuple[AnnotationService, object]:
     """Materialise a scenario, fit a fast C2MN on its training half, wrap it.
 
-    Returns ``(service, scenario)``; the held-out half is what the load
-    generator replays, so served traffic is never training data.
+    Returns ``(service, scenario)``; the held-out half is never training
+    data, so it is what clients should send.
     """
     from repro.core.annotator import C2MNAnnotator
     from repro.core.config import C2MNConfig
@@ -68,42 +62,23 @@ async def _serve(server: AnnotationHTTPServer) -> None:
     print(f"drained: {len(flushed)} m-semantics flushed from open sessions")
 
 
-def _summary_lines(reports: Sequence[LoadRunReport]) -> List[str]:
-    lines = []
-    for report in reports:
-        lines.append(
-            f"  {report.run:28s} rep{report.repetition}  "
-            f"{report.requests:6d} req  {report.throughput_rps:8.1f} rps  "
-            f"p50 {report.p50_latency_ms:7.1f}ms  p95 {report.p95_latency_ms:7.1f}ms  "
-            f"p99 {report.p99_latency_ms:7.1f}ms  "
-            f"failures {report.failures} ({report.failure_rate:.2%})  "
-            f"rss {report.rss_mb:.0f}MB"
-        )
-    return lines
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.net",
-        description="HTTP front door for the annotation service, and the "
-        "open-loop load-testing harness that measures it.",
+        description="HTTP front door for the annotation service.",
     )
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--serve", action="store_true",
-                      help="train on the scenario and serve HTTP until Ctrl-C")
-    mode.add_argument("--loadtest", action="store_true",
-                      help="drive a server open-loop and write run_table.csv")
+    parser.add_argument("--serve", action="store_true", required=True,
+                        help="train on the scenario and serve HTTP until Ctrl-C")
     parser.add_argument(
         "--scenario",
         default="mall-tiny",
         choices=sorted(scenario_names()),
-        help="catalogue scenario supplying the model and traffic "
-        "(default: mall-tiny)",
+        help="catalogue scenario supplying the model (default: mall-tiny)",
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument(
-        "--port", type=int, default=None,
-        help="--serve port (default 8073; 0 picks an ephemeral port)",
+        "--port", type=int, default=8073,
+        help="listen port (default: %(default)s; 0 picks an ephemeral port)",
     )
     parser.add_argument("--seed", type=int, default=None,
                         help="scenario materialisation seed (default: registered)")
@@ -114,98 +89,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="attach the live semantic-region index")
     parser.add_argument("--max-body", type=int, default=DEFAULT_MAX_BODY,
                         help="request-body byte limit (default: %(default)s)")
-    parser.add_argument(
-        "--rate", type=float, action="append", default=None, metavar="RPS",
-        help="open-loop arrival rate; repeat to sweep several rates "
-        "(default: 20)",
-    )
-    parser.add_argument("--duration", type=float, default=10.0,
-                        help="seconds per loadtest run (default: %(default)s)")
-    parser.add_argument("--mix", default=DEFAULT_MIX,
-                        help="workload mix weights (default: %(default)s)")
-    parser.add_argument("--repetitions", type=int, default=1,
-                        help="repetitions per rate (default: %(default)s)")
-    parser.add_argument("--loadgen-seed", type=int, default=1,
-                        help="RNG seed of the arrival/mix draw (default: 1)")
-    parser.add_argument(
-        "--timeout", type=float, default=30.0,
-        help="per-request client timeout in seconds; raise it for "
-        "beyond-capacity sweeps where queueing stretches the tail "
-        "(default: %(default)s)",
-    )
-    parser.add_argument(
-        "--url", default=None,
-        help="loadtest target (http://host:port); omitted = self-host the "
-        "server in this process",
-    )
-    parser.add_argument("--out", default="run_table.csv",
-                        help="loadtest CSV artifact path (default: %(default)s)")
     args = parser.parse_args(argv)
 
-    if args.serve:
-        print(f"materialising {args.scenario} and fitting the annotator ...")
-        service, _ = build_service(
-            args.scenario, seed=args.seed, window=args.window, indexed=args.indexed
-        )
-        server = AnnotationHTTPServer(
-            service,
-            host=args.host,
-            port=8073 if args.port is None else args.port,
-            max_body=args.max_body,
-        )
-        asyncio.run(_serve(server))
-        return 0
-
-    rates = args.rate or [20.0]
-    reports: List[LoadRunReport] = []
-    if args.url is not None:
-        split = urlsplit(args.url)
-        if not split.hostname or not split.port:
-            parser.error("--url must look like http://host:port")
-        for position, rate in enumerate(rates):
-            reports.extend(
-                run_loadtest(
-                    args.scenario,
-                    host=split.hostname,
-                    port=split.port,
-                    rate=rate,
-                    duration=args.duration,
-                    mix=args.mix,
-                    repetitions=args.repetitions,
-                    seed=args.loadgen_seed,
-                    timeout=args.timeout,
-                    run_tag=f"sweep{position}" if len(rates) > 1 else "",
-                )
-            )
-    else:
-        print(f"materialising {args.scenario} and fitting the annotator ...")
-        service, scenario = build_service(
-            args.scenario, seed=args.seed, window=args.window, indexed=args.indexed
-        )
-        with ServerThread(service, host=args.host, max_body=args.max_body) as server:
-            print(f"self-hosted server on {server.address}")
-            for position, rate in enumerate(rates):
-                reports.extend(
-                    run_loadtest(
-                        args.scenario,
-                        host=server.host,
-                        port=server.port,
-                        rate=rate,
-                        duration=args.duration,
-                        mix=args.mix,
-                        repetitions=args.repetitions,
-                        seed=args.loadgen_seed,
-                        timeout=args.timeout,
-                        scenario=scenario,
-                        run_tag=f"sweep{position}" if len(rates) > 1 else "",
-                    )
-                )
-    path = write_run_table(reports, args.out)
-    print("\n".join(_summary_lines(reports)))
-    print(f"wrote {path}")
-    if any(report.failures for report in reports):
-        print("FAIL: load test recorded request failures", file=sys.stderr)
-        return 1
+    print(f"materialising {args.scenario} and fitting the annotator ...")
+    service, _ = build_service(
+        args.scenario, seed=args.seed, window=args.window, indexed=args.indexed
+    )
+    server = AnnotationHTTPServer(
+        service, host=args.host, port=args.port, max_body=args.max_body
+    )
+    asyncio.run(_serve(server))
     return 0
 
 

@@ -34,7 +34,7 @@ Design notes:
   open session's pending m-semantics are published before exit.
 
 :class:`ServerThread` hosts a server on a background event loop for tests,
-examples and the self-hosting load generator.
+examples and in-process embedding.
 """
 
 from __future__ import annotations
@@ -590,8 +590,8 @@ class ServerThread:
 
     Context manager: ``with ServerThread(service) as server:`` yields the
     running server (``server.host``/``server.port``/``server.address``);
-    exit performs the graceful drain.  This is how tests, the examples and
-    the self-hosting load generator embed the front door in one process.
+    exit performs the graceful drain.  This is how tests and the examples
+    embed the front door in one process.
     """
 
     def __init__(self, service: AnnotationService, **server_kwargs):

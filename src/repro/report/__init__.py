@@ -1,21 +1,18 @@
 """Text-based figures & trend analysis over the bench corpus.
 
 ``python -m repro.report`` loads every ``BENCH_*.json`` (current run,
-committed baselines, optional history snapshots) plus the load generator's
-``run_table.csv`` artifacts, normalises them into tidy per-metric CSVs,
-renders hand-rolled Vega-Lite specs next to them, and writes a
-``REPORT.md`` tying each figure to a prose caption — all deterministic
-text artifacts, validated by ``tools/check_report.py`` in CI and
-documented field by field in ``docs/BENCHMARKS.md``.
+committed baselines, optional history snapshots), normalises them into
+tidy per-metric CSVs, renders hand-rolled Vega-Lite specs next to them,
+and writes a ``REPORT.md`` tying each figure to a prose caption — all
+deterministic text artifacts, validated by ``tools/check_report.py`` in
+CI and documented field by field in ``docs/BENCHMARKS.md``.
 """
 
 from repro.report.loader import (
     BASELINE_SOURCE,
     CURRENT_SOURCE,
     LoadedReport,
-    LoadedRunTable,
     load_bench_reports,
-    load_run_tables,
     primary_source,
 )
 from repro.report.pipeline import (
@@ -41,14 +38,12 @@ __all__ = [
     "DEFAULT_SUITE_TOLERANCES",
     "DEFAULT_TOLERANCE",
     "LoadedReport",
-    "LoadedRunTable",
     "ReportBuild",
     "bootstrap_ci",
     "build_report",
     "build_specs",
     "build_tables",
     "load_bench_reports",
-    "load_run_tables",
     "primary_source",
     "render_csv",
     "summarize",

@@ -51,8 +51,8 @@ def main(argv=None) -> int:
         "--bench-dir",
         type=Path,
         default=Path("."),
-        help="directory holding the current run's BENCH_*.json and "
-        "run_table.csv files (default: cwd)",
+        help="directory holding the current run's BENCH_*.json files "
+        "(default: cwd)",
     )
     parser.add_argument(
         "--baselines",
@@ -116,10 +116,7 @@ def main(argv=None) -> int:
         return 1
 
     suites = sorted({loaded.suite for loaded in build.reports})
-    print(
-        f"report: {len(build.reports)} report(s) over suites "
-        f"{', '.join(suites)} + {len(build.run_tables)} run table(s)"
-    )
+    print(f"report: {len(build.reports)} report(s) over suites {', '.join(suites)}")
     for path in build.written:
         print(f"  wrote {path}")
     if build.regressions:

@@ -106,68 +106,6 @@ def _spec(
     return spec
 
 
-def runtime_speedup_spec(table: Table) -> Optional[dict]:
-    """Speedup vs workload size for the headline runtime variants."""
-    _, rows = table
-    if not rows:
-        return None
-    variants = [
-        "annotate_many[serial]",
-        "annotate_many[thread]",
-        "annotate_many[process]",
-        "annotate_many_batched[serial]",
-    ]
-    present = sorted(
-        {row["variant"] for row in rows if row.get("headline")},
-        key=lambda variant: variants.index(variant)
-        if variant in variants
-        else len(variants),
-    )
-    return _spec(
-        "runtime_speedup",
-        table,
-        title="Batch-annotation speedup vs workload size",
-        description=(
-            "Steady-state speedup of each execution policy over the serial "
-            "unbatched reference, against the decode workload size. Points "
-            "from different sources (history, baseline, current) share one "
-            "curve per variant."
-        ),
-        parse={"headline": "boolean"},
-        body={
-            "transform": [{"filter": "datum.headline === true"}],
-            "mark": {"type": "line", "point": True},
-            "encoding": {
-                "x": {
-                    "field": "sequences",
-                    "type": "quantitative",
-                    "title": "decode workload (sequences)",
-                },
-                "y": {
-                    "field": "speedup",
-                    "type": "quantitative",
-                    "title": "speedup vs serial reference (x)",
-                },
-                "color": {
-                    "field": "variant",
-                    "type": "nominal",
-                    "title": "variant",
-                    "scale": color_scale(present),
-                },
-                "detail": {"field": "source", "type": "nominal"},
-                "tooltip": [
-                    {"field": "variant", "type": "nominal"},
-                    {"field": "source", "type": "nominal"},
-                    {"field": "scale", "type": "nominal"},
-                    {"field": "workers", "type": "quantitative"},
-                    {"field": "speedup", "type": "quantitative"},
-                    {"field": "seconds", "type": "quantitative"},
-                ],
-            },
-        },
-    )
-
-
 def query_latency_spec(table: Table) -> Optional[dict]:
     """Per-scenario query latency, scan vs indexed, faceted by query kind."""
     _, rows = table
@@ -347,72 +285,6 @@ def precision_spec(table: Table) -> Optional[dict]:
                     },
                 ]
             },
-        },
-    )
-
-
-def loadtest_frontier_spec(table: Table) -> Optional[dict]:
-    """Delivered throughput against p95 latency for the open-loop runs."""
-    _, rows = table
-    scenarios = sorted({str(row.get("scenario", "")) for row in rows if row.get("scenario")})
-    if not rows or not scenarios:
-        return None
-    return _spec(
-        "loadtest",
-        table,
-        title="Open-loop load test: throughput vs p95 latency",
-        description=(
-            "Each point is one (run, repetition) of the open-loop load "
-            "generator: delivered throughput against p95 latency. Points of "
-            "one scenario connect in offered-rate order, tracing the "
-            "latency frontier as the arrival rate climbs."
-        ),
-        body={
-            "layer": [
-                {
-                    "mark": {"type": "line", "strokeWidth": 2, "opacity": 0.6},
-                    "encoding": {
-                        "x": {
-                            "field": "throughput_rps",
-                            "type": "quantitative",
-                            "title": "delivered throughput (req/s)",
-                        },
-                        "y": {
-                            "field": "p95_latency_ms",
-                            "type": "quantitative",
-                            "title": "p95 latency (ms)",
-                        },
-                        "color": {
-                            "field": "scenario",
-                            "type": "nominal",
-                            "title": "scenario",
-                            "scale": color_scale(scenarios[: len(PALETTE)]),
-                        },
-                        "order": {"field": "arrival_rate", "type": "quantitative"},
-                    },
-                },
-                {
-                    "mark": {"type": "point"},
-                    "encoding": {
-                        "x": {"field": "throughput_rps", "type": "quantitative"},
-                        "y": {"field": "p95_latency_ms", "type": "quantitative"},
-                        "color": {
-                            "field": "scenario",
-                            "type": "nominal",
-                            "scale": color_scale(scenarios[: len(PALETTE)]),
-                        },
-                        "tooltip": [
-                            {"field": "run", "type": "nominal"},
-                            {"field": "source", "type": "nominal"},
-                            {"field": "arrival_rate", "type": "quantitative"},
-                            {"field": "throughput_rps", "type": "quantitative"},
-                            {"field": "p95_latency_ms", "type": "quantitative"},
-                            {"field": "p99_latency_ms", "type": "quantitative"},
-                            {"field": "failure_rate", "type": "quantitative"},
-                        ],
-                    },
-                },
-            ]
         },
     )
 

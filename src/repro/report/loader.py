@@ -3,13 +3,12 @@
 Three places feed the report, ordered along one trend axis:
 
 * an optional ``--history`` directory whose *subdirectories* are labelled
-  snapshots of earlier baselines (``history/pr-7/BENCH_runtime.json`` …),
+  snapshots of earlier baselines (``history/2026-08/BENCH_queries.json`` …),
   ordered by label — oldest label first;
 * the committed baselines (``benchmarks/baselines/BENCH_<suite>.json``),
   labelled ``baseline``;
 * the current run (``--bench-dir``), labelled ``current`` — every
-  ``BENCH_*.json`` under it plus every ``*run_table*.csv`` the load
-  generator wrote.
+  ``BENCH_*.json`` under it.
 
 When ``--bench-dir`` *is* the baselines directory (the committed-report
 mode CI regenerates ``docs/report/`` from) the same files are not loaded
@@ -18,7 +17,6 @@ twice; the baselines simply double as the primary source.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,25 +38,6 @@ class LoadedReport:
     suite: str
     path: Path
     report: dict
-
-
-@dataclass(frozen=True)
-class LoadedRunTable:
-    """One parsed ``run_table.csv`` from the open-loop load generator."""
-
-    source: str
-    path: Path
-    rows: List[dict]
-
-
-def _coerce(value: str):
-    """CSV cells back to numbers where they parse as such."""
-    for kind in (int, float):
-        try:
-            return kind(value)
-        except (TypeError, ValueError):
-            continue
-    return value
 
 
 def _read_reports(directory: Path) -> List[Tuple[Path, dict]]:
@@ -122,19 +101,3 @@ def primary_source(reports: List[LoadedReport]) -> Optional[str]:
     if reports:
         return max(reports, key=lambda loaded: loaded.order).source
     return None
-
-
-def load_run_tables(bench_dir: Optional[Path]) -> List[LoadedRunTable]:
-    """Parse every ``*run_table*.csv`` under ``bench_dir`` (recursively)."""
-    tables: List[LoadedRunTable] = []
-    if bench_dir is None or not bench_dir.is_dir():
-        return tables
-    for path in sorted(bench_dir.rglob("*run_table*.csv")):
-        with path.open(encoding="utf-8", newline="") as handle:
-            rows = [
-                {key: _coerce(value) for key, value in row.items()}
-                for row in csv.DictReader(handle)
-            ]
-        if rows:
-            tables.append(LoadedRunTable(source=CURRENT_SOURCE, path=path, rows=rows))
-    return tables

@@ -22,29 +22,19 @@ from typing import Dict, List, Optional
 
 from repro.persistence.atomic import atomic_write_text
 from repro.report.figures import (
-    loadtest_frontier_spec,
     precision_spec,
     query_latency_spec,
-    runtime_speedup_spec,
     store_scatter_spec,
     trends_spec,
 )
-from repro.report.loader import (
-    LoadedReport,
-    LoadedRunTable,
-    load_bench_reports,
-    load_run_tables,
-)
+from repro.report.loader import LoadedReport, load_bench_reports
 from repro.report.render import render_markdown
 from repro.report.tables import (
-    DEFAULT_SUITE_TOLERANCES,
     DEFAULT_TOLERANCE,
     Table,
-    loadtest_table,
     precision_table,
     query_latency_table,
     results_table,
-    runtime_speedup_table,
     store_scatter_table,
     trends_table,
     write_table,
@@ -61,7 +51,6 @@ class ReportBuild:
 
     out_dir: Path
     reports: List[LoadedReport]
-    run_tables: List[LoadedRunTable]
     tables: Dict[str, Table]
     specs: Dict[str, dict]
     regressions: List[dict] = field(default_factory=list)
@@ -78,7 +67,6 @@ class ReportBuild:
 
 def build_tables(
     reports: List[LoadedReport],
-    run_tables: List[LoadedRunTable],
     *,
     seed: int = DEFAULT_SEED,
     tolerance: float = DEFAULT_TOLERANCE,
@@ -87,11 +75,9 @@ def build_tables(
     """All tidy tables keyed by artifact stem (``<stem>.csv``)."""
     return {
         "results": results_table(reports),
-        "runtime_speedup": runtime_speedup_table(reports),
         "query_latency": query_latency_table(reports),
         "store_scatter": store_scatter_table(reports),
         "precision": precision_table(reports, seed=seed),
-        "loadtest": loadtest_table(reports, run_tables),
         "trends": trends_table(
             reports, tolerance=tolerance, suite_tolerances=suite_tolerances
         ),
@@ -101,11 +87,9 @@ def build_tables(
 def build_specs(tables: Dict[str, Table]) -> Dict[str, dict]:
     """Every figure whose table has rows, keyed by artifact stem."""
     builders = {
-        "runtime_speedup": runtime_speedup_spec,
         "query_latency": query_latency_spec,
         "store_scatter": store_scatter_spec,
         "precision": precision_spec,
-        "loadtest": loadtest_frontier_spec,
         "trends": trends_spec,
     }
     specs = {}
@@ -133,10 +117,8 @@ def build_report(
             "no BENCH_*.json reports found — point --bench-dir or "
             "--baselines at a directory holding bench output"
         )
-    run_tables = load_run_tables(bench_dir)
     tables = build_tables(
         reports,
-        run_tables,
         seed=seed,
         tolerance=tolerance,
         suite_tolerances=suite_tolerances,
@@ -158,13 +140,12 @@ def build_report(
         )
     atomic_write_text(
         out_dir / "REPORT.md",
-        render_markdown(reports, run_tables, tables, seed=seed),
+        render_markdown(reports, tables, seed=seed),
     )
     regressions = [row for row in tables["trends"][1] if row.get("regressed")]
     return ReportBuild(
         out_dir=out_dir,
         reports=reports,
-        run_tables=run_tables,
         tables=written_tables,
         specs=specs,
         regressions=regressions,

@@ -14,7 +14,7 @@ from __future__ import annotations
 from statistics import fmean, median
 from typing import Dict, List, Optional, Sequence
 
-from repro.report.loader import LoadedReport, LoadedRunTable, primary_source
+from repro.report.loader import LoadedReport
 from repro.report.tables import Table
 
 #: Most rows any embedded markdown table may show; the CSV keeps the rest
@@ -47,9 +47,7 @@ def _fmt(value, digits: int = 2) -> str:
     return str(value)
 
 
-def _sources_section(
-    reports: List[LoadedReport], run_tables: List[LoadedRunTable]
-) -> str:
+def _sources_section(reports: List[LoadedReport]) -> str:
     rows = [
         (
             loaded.source,
@@ -64,45 +62,11 @@ def _sources_section(
     text = _md_table(
         ("source", "suite", "scale", "created_at", "python", "cpus"), rows
     )
-    if run_tables:
-        names = ", ".join(f"`{table.path.name}`" for table in run_tables)
-        text += (
-            f"\n\nPlus {len(run_tables)} load-generator run table(s): {names}."
-        )
     text += (
         "\n\nEvery result row of every source, as one tidy table: "
         "[`data/results.csv`](data/results.csv)."
     )
     return text
-
-
-def _runtime_section(table: Table, primary: Optional[str]) -> Optional[str]:
-    _, rows = table
-    shown = [
-        row for row in rows if row.get("headline") and row.get("source") == primary
-    ]
-    if not shown:
-        return None
-    best = max(shown, key=lambda row: row.get("speedup") or 0.0)
-    caption = (
-        f"Steady-state decode speedup over the serial unbatched reference. "
-        f"The best policy of the primary source is `{best['variant']}` at "
-        f"{_fmt(best['speedup'])}× on a {best['sequences']}-sequence workload; "
-        f"curves accumulate one point per loaded snapshot, so the chart "
-        f"becomes a true speedup-vs-scale sweep as more scales are benched."
-    )
-    body = _md_table(
-        ("variant", "workers", "sequences", "speedup"),
-        [
-            (row["variant"], row["workers"], row["sequences"], _fmt(row["speedup"]))
-            for row in sorted(
-                shown, key=lambda row: (-(row.get("speedup") or 0.0), row["variant"])
-            )
-        ],
-    )
-    return "\n\n".join(
-        ["### Runtime: batch-annotation speedup", caption, _figure_links("runtime_speedup"), body]
-    )
 
 
 def _query_latency_section(table: Table) -> Optional[str]:
@@ -228,48 +192,6 @@ def _precision_section(table: Table) -> Optional[str]:
     )
 
 
-def _loadtest_section(table: Table) -> Optional[str]:
-    _, rows = table
-    if not rows:
-        return None
-    p95s = [
-        row["p95_latency_ms"]
-        for row in rows
-        if isinstance(row.get("p95_latency_ms"), (int, float))
-    ]
-    caption = (
-        f"Each point is one (run, repetition) of the open-loop load "
-        f"generator — delivered throughput against p95 latency, connected "
-        f"in offered-rate order per scenario. Worst p95 across the "
-        f"{len(rows)} loaded row(s): {_fmt(max(p95s))} ms."
-        if p95s
-        else "Open-loop load-test rows."
-    )
-    body = _md_table(
-        ("run", "source", "origin", "rate", "throughput_rps", "p95_ms", "failure_rate"),
-        [
-            (
-                row.get("run", ""),
-                row.get("source", ""),
-                row.get("origin", ""),
-                _fmt(row.get("arrival_rate", ""), 1),
-                _fmt(row.get("throughput_rps", "")),
-                _fmt(row.get("p95_latency_ms", "")),
-                row.get("failure_rate", ""),
-            )
-            for row in rows
-        ],
-    )
-    return "\n\n".join(
-        [
-            "### Service: open-loop throughput / p95 frontier",
-            caption,
-            _figure_links("loadtest"),
-            body,
-        ]
-    )
-
-
 def _trends_section(table: Table) -> str:
     _, rows = table
     sources = {row["source"] for row in rows}
@@ -316,13 +238,11 @@ def _trends_section(table: Table) -> str:
 
 def render_markdown(
     reports: List[LoadedReport],
-    run_tables: List[LoadedRunTable],
     tables: Dict[str, Table],
     *,
     seed: int,
 ) -> str:
     """The full ``REPORT.md`` text (deterministic for unchanged inputs)."""
-    primary = primary_source(reports)
     newest = max(
         (loaded.report.get("created_at", "") for loaded in reports), default=""
     )
@@ -330,8 +250,8 @@ def render_markdown(
         "# Benchmark report",
         (
             f"Generated by `python -m repro.report` from {len(reports)} bench "
-            f"report(s) and {len(run_tables)} load-generator run table(s); "
-            f"newest input stamped `{newest}`; bootstrap seed {seed}. "
+            f"report(s); newest input stamped `{newest}`; bootstrap seed "
+            f"{seed}. "
             f"Figures are Vega-Lite specs next to their CSV data — text "
             f"only, diffable, re-renderable in any Vega-Lite viewer (paste a "
             f"spec into the [Vega editor](https://vega.github.io/editor/) "
@@ -340,15 +260,13 @@ def render_markdown(
             f"[`docs/BENCHMARKS.md`](../BENCHMARKS.md)."
         ),
         "## Sources",
-        _sources_section(reports, run_tables),
+        _sources_section(reports),
         "## Figures",
     ]
     for section in (
-        _runtime_section(tables["runtime_speedup"], primary),
         _query_latency_section(tables["query_latency"]),
         _store_section(tables["store_scatter"]),
         _precision_section(tables["precision"]),
-        _loadtest_section(tables["loadtest"]),
         _trends_section(tables["trends"]),
     ):
         if section:

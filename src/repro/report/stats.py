@@ -1,8 +1,7 @@
 """Deterministic bootstrap statistics for the report pipeline.
 
 The bench corpus records small samples — seven query shapes per
-(scenario, query, k) precision cell, a handful of load-test repetitions —
-so the report quotes percentile-bootstrap confidence intervals instead of
+(scenario, query, k) precision cell — so the report quotes percentile-bootstrap confidence intervals instead of
 bare means.  Everything here is driven by an explicit :class:`random.Random`
 seed: the same observations and the same seed produce bitwise-identical
 intervals, which is what lets the golden-spec tests (and the CI drift gate

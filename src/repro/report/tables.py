@@ -19,32 +19,13 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.persistence.atomic import atomic_write_text
-from repro.report.loader import (
-    BASELINE_SOURCE,
-    LoadedReport,
-    LoadedRunTable,
-    primary_source,
-)
+from repro.report.loader import BASELINE_SOURCE, LoadedReport, primary_source
 from repro.report.stats import summarize
 
 #: The tolerance bands CI applies per suite (mirrors ``.github/workflows``),
-#: used to annotate trend rows.  Warmup-phase rows always use the loose
-#: default, exactly as ``tools/check_bench.py`` gates them.
+#: used to annotate trend rows.
 DEFAULT_TOLERANCE = 0.5
-DEFAULT_SUITE_TOLERANCES = {
-    "runtime": 0.3,
-    "service": 0.75,
-    "store": 0.6,
-}
-
-#: Runtime variants drawn in the speedup figure (name, backend); everything
-#: else stays in the CSV with ``headline = false``.
-_RUNTIME_HEADLINE = (
-    ("annotate_many", "serial"),
-    ("annotate_many", "thread"),
-    ("annotate_many", "process"),
-    ("annotate_many_batched", "serial"),
-)
+DEFAULT_SUITE_TOLERANCES = {"store": 0.6}
 
 _SCATTER_ROW = re.compile(r"^(tkprq|tkfrpq):(single|scatter-(\d+))$")
 
@@ -86,7 +67,6 @@ def results_table(reports: List[LoadedReport]) -> Table:
         "name",
         "backend",
         "workers",
-        "phase",
         "seconds",
         "speedup_vs_serial",
         "agreement",
@@ -105,54 +85,9 @@ def results_table(reports: List[LoadedReport]) -> Table:
                     "name": entry.get("name", ""),
                     "backend": entry.get("backend", ""),
                     "workers": entry.get("workers", ""),
-                    "phase": entry.get("phase", ""),
                     "seconds": entry.get("seconds", ""),
                     "speedup_vs_serial": entry.get("speedup_vs_serial", ""),
                     "agreement": entry.get("agreement", ""),
-                }
-            )
-    return columns, rows
-
-
-def runtime_speedup_table(reports: List[LoadedReport]) -> Table:
-    """Speedup vs workload size for the runtime suite, across every source."""
-    columns = (
-        "source",
-        "scale",
-        "sequences",
-        "variant",
-        "name",
-        "backend",
-        "workers",
-        "phase",
-        "seconds",
-        "speedup",
-        "headline",
-    )
-    rows = []
-    for loaded in reports:
-        if loaded.suite != "runtime":
-            continue
-        report = loaded.report
-        sequences = report.get("workload", {}).get("sequences", "")
-        for entry in report.get("results", []):
-            name, backend = entry.get("name", ""), entry.get("backend", "")
-            headline = (name, backend) in _RUNTIME_HEADLINE and entry.get(
-                "phase"
-            ) != "warmup"
-            rows.append(
-                {
-                    "source": loaded.source,
-                    "scale": report.get("scale", ""),
-                    "sequences": sequences,
-                    "variant": f"{name}[{backend}]",
-                    "name": name,
-                    "backend": backend,
-                    "workers": entry.get("workers", ""),
-                    "phase": entry.get("phase", ""),
-                    "seconds": entry.get("seconds", ""),
-                    "speedup": entry.get("speedup_vs_serial", ""),
-                    "headline": headline,
                 }
             )
     return columns, rows
@@ -267,62 +202,11 @@ def precision_table(reports: List[LoadedReport], *, seed: int) -> Table:
     return columns, rows
 
 
-_LOADTEST_COLUMNS = (
-    "source",
-    "origin",
-    "run",
-    "repetition",
-    "scenario",
-    "arrival_rate",
-    "duration_seconds",
-    "requests",
-    "failures",
-    "failure_rate",
-    "throughput_rps",
-    "avg_latency_ms",
-    "p50_latency_ms",
-    "p95_latency_ms",
-    "p99_latency_ms",
-    "max_latency_ms",
-    "rss_mb",
-)
-
-
-def loadtest_table(
-    reports: List[LoadedReport], run_tables: List[LoadedRunTable]
-) -> Table:
-    """Open-loop load-test rows: ``run_table.csv`` files + embedded rows.
-
-    The service suite embeds one run-table row per scenario, so the frontier
-    figure is never empty even when only committed baselines are available.
-    """
-    rows: List[dict] = []
-    for loaded in reports:
-        if loaded.suite != "service":
-            continue
-        for detail in loaded.report.get("service", []):
-            entry = detail.get("loadtest")
-            if not isinstance(entry, dict):
-                continue
-            row = {column: entry.get(column, "") for column in _LOADTEST_COLUMNS}
-            row["source"] = loaded.source
-            row["origin"] = "bench"
-            row["scenario"] = entry.get("scenario", detail.get("name", ""))
-            rows.append(row)
-    for table in run_tables:
-        for entry in table.rows:
-            row = {column: entry.get(column, "") for column in _LOADTEST_COLUMNS}
-            row["source"] = table.source
-            row["origin"] = table.path.name
-            rows.append(row)
-    return _LOADTEST_COLUMNS, rows
-
-
 def _headline_trend_keys(
     baselines: Dict[str, Dict[Tuple[str, str, int], dict]],
     largest_scenario: str,
 ) -> set:
-    """Up to six headline metrics for the trend figure, one set per corpus."""
+    """Up to three headline metrics for the trend figure, one set per corpus."""
     keys = set()
 
     def pick(suite: str, predicate) -> None:
@@ -330,15 +214,9 @@ def _headline_trend_keys(
         if candidates:
             keys.add((suite,) + max(candidates, key=lambda key: (key[2], key)))
 
-    pick("runtime", lambda key: key[0] == "annotate_many" and key[1] == "process")
-    pick(
-        "runtime",
-        lambda key: key[0] == "annotate_many_batched" and key[1] == "serial",
-    )
     pick("queries", lambda key: key[0] == f"{largest_scenario}:tkprq:indexed")
     pick("queries", lambda key: key[0] == f"{largest_scenario}:tkfrpq:indexed")
     pick("store", lambda key: key[0] == "tkprq:scatter-4")
-    pick("service", lambda key: key[0].endswith(":loadtest"))
     return keys
 
 
@@ -352,9 +230,8 @@ def trends_table(
 
     A row regresses when its speedup drops below
     ``baseline * (1 - tolerance)`` — the identical floor
-    ``tools/check_bench.py --compare`` enforces, warmup-phase looseness
-    included — so a flagged trend row and a failed CI gate are the same
-    event seen from two places.
+    ``tools/check_bench.py --compare`` enforces — so a flagged trend row
+    and a failed CI gate are the same event seen from two places.
     """
     if suite_tolerances is None:
         suite_tolerances = dict(DEFAULT_SUITE_TOLERANCES)
@@ -396,11 +273,6 @@ def trends_table(
             key = (entry.get("name"), entry.get("backend"), entry.get("workers"))
             base = baselines.get(loaded.suite, {}).get(key)
             speedup = entry.get("speedup_vs_serial")
-            row_tolerance = suite_tolerance
-            if entry.get("phase") == "warmup" or (
-                base is not None and base.get("phase") == "warmup"
-            ):
-                row_tolerance = max(suite_tolerance, tolerance)
             row = {
                 "suite": loaded.suite,
                 "metric": f"{loaded.suite}:{key[0]}[{key[1]}]",
@@ -411,7 +283,7 @@ def trends_table(
                 "order": loaded.order,
                 "speedup": speedup,
                 "baseline_speedup": "",
-                "tolerance": row_tolerance,
+                "tolerance": suite_tolerance,
                 "floor": "",
                 "regressed": False,
                 "delta_pct": "",
@@ -420,7 +292,7 @@ def trends_table(
             if base is not None and isinstance(speedup, (int, float)):
                 base_speedup = base.get("speedup_vs_serial")
                 if isinstance(base_speedup, (int, float)) and base_speedup > 0:
-                    floor = base_speedup * (1.0 - row_tolerance)
+                    floor = base_speedup * (1.0 - suite_tolerance)
                     row["baseline_speedup"] = base_speedup
                     row["floor"] = round(floor, 4)
                     row["regressed"] = (

@@ -5,8 +5,8 @@ The runtime layer is the one place batch work is parallelised.  It offers:
 * :class:`ExecutionPolicy` — the one frozen value object describing *how*
   batch work executes (backend, workers, length-bucketed batching, pool
   reuse).  Every batch surface in the codebase (the ``*_many`` protocol
-  methods, the evaluation harness, the experiment runners, the service
-  batch path and the bench CLI) accepts ``policy=``; the legacy
+  methods, the evaluation harness, the experiment runners and the service
+  batch path) accepts ``policy=``; the legacy
   ``workers=``/``backend=`` keyword pair still works through
   :func:`resolve_policy` but emits a :class:`DeprecationWarning`;
 * :class:`Executor` — a backend-pluggable mapper (``"serial"``,

@@ -15,7 +15,8 @@ Consumers resolve scenarios by name everywhere:
 * tests and benchmarks share fixtures through :func:`materialize`;
 * experiment runners accept a scenario name wherever they accept a dataset
   (:mod:`repro.evaluation.experiments`);
-* ``python -m repro.bench --scenario <name>`` times a scenario end to end;
+* ``python -m repro.bench --queries --scenario <name>`` times indexed vs
+  scan queries over a scenario's ground truth;
 * :func:`repro.service.replay_scenario` replays one through the streaming
   service;
 * ``python -m repro.scenarios`` lists the catalogue and smoke-checks it;

@@ -3,7 +3,7 @@
 The registry maps scenario names to :class:`~repro.scenarios.spec.ScenarioSpec`
 objects.  The built-in catalogue (:mod:`repro.scenarios.catalogue`) registers
 itself when :mod:`repro.scenarios` is imported; anything downstream — the
-evaluation harness, ``python -m repro.bench --scenario``, the streaming
+evaluation harness, ``python -m repro.bench --queries``, the streaming
 replay, tests and benchmarks — resolves workloads by name through
 :func:`get_scenario` / :func:`materialize`, so every layer names the same
 reproducible datasets.

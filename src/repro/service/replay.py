@@ -12,14 +12,14 @@ the batch ``annotate`` output, making the replay a correctness stress and
 not just a load generator.
 
 This is the service-layer entry of the scenario subsystem: the same named
-workloads that drive the evaluation harness and ``python -m repro.bench
---scenario`` exercise the sliding-window decode path here.
+workloads that drive the evaluation harness exercise the sliding-window
+decode path here.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 from typing import Union
@@ -29,7 +29,6 @@ from repro.mobility.dataset import train_test_split
 from repro.mobility.records import PositioningRecord
 from repro.scenarios import materialize
 from repro.scenarios.spec import Scenario
-from repro.service.reporting import flat_row
 from repro.service.service import AnnotationService
 
 
@@ -54,10 +53,11 @@ class ReplayReport:
         return self.records / self.elapsed_seconds if self.elapsed_seconds > 0 else 0.0
 
     def row(self) -> Dict[str, object]:
-        """A flat dict row for reports and benchmarks (see
-        :func:`repro.service.reporting.flat_row` for the column rules the
-        replay and loadgen artifacts share)."""
-        return flat_row(self, derived=("records_per_second",))
+        """A flat dict row: the fields in declaration order, then the
+        derived ``records_per_second``."""
+        row: Dict[str, object] = asdict(self)
+        row["records_per_second"] = self.records_per_second
+        return row
 
 
 def interleaved_records(sequences) -> List[Tuple[str, PositioningRecord]]:

@@ -41,8 +41,8 @@ window is at least the sequence length (or the session is created with
 after :meth:`StreamSession.finish`, *exactly* the m-semantics of batch
 ``annotate`` on the whole p-sequence.  The windowed path trades that for
 per-record cost bounded by ``O(W)`` instead of ``O(n)``;
-``benchmarks/test_perf_streaming.py`` measures the gap and
-``tests/test_service.py`` pins the record-level agreement.
+``tests/test_service.py`` pins the record-level agreement, and the
+repository benchmark (``perfbench/``) times the windowed path over HTTP.
 """
 
 from __future__ import annotations

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
 _SPEC = importlib.util.spec_from_file_location(
-    "check_bench", Path(__file__).resolve().parent.parent / "tools" / "check_bench.py"
+    "check_bench", REPO_ROOT / "tools" / "check_bench.py"
 )
 check_bench = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(check_bench)
@@ -46,80 +48,88 @@ def _row(name, *, backend="serial", workers=1, speedup=1.0, agreement=True):
     }
 
 
-def _loadtest(**overrides):
-    entry = {
-        "run": "mall-tiny@30rps",
-        "repetition": 0,
-        "requests": 60,
-        "failures": 0,
-        "throughput_rps": 25.0,
-        "avg_latency_ms": 30.0,
-        "p50_latency_ms": 10.0,
-        "p95_latency_ms": 80.0,
-        "p99_latency_ms": 95.0,
-        "max_latency_ms": 99.0,
-        "rss_mb": 100.0,
-        "failure_rate": 0.0,
-    }
-    entry.update(overrides)
-    return entry
-
-
-def _service_report(loadtest=None, **report_overrides):
-    report = _report(
-        suite="service",
-        results=[
-            _row("mall-tiny:annotate:inproc", speedup=1.0),
-            _row("mall-tiny:annotate:http", speedup=0.8),
-            _row("mall-tiny:loadtest", speedup=0.9),
-        ],
-    )
-    report["service"] = [
-        {
-            "name": "mall-tiny",
-            "seed": 1,
-            "fingerprint": "f" * 16,
-            "fit_seconds": 0.5,
-            "loadtest": loadtest if loadtest is not None else _loadtest(),
-            "endpoints": {"annotate": 10},
-        }
-    ]
-    report.update(report_overrides)
-    return report
-
-
 class TestValidate:
     def test_queries_suite_valid_without_process_rows(self):
         assert check_bench.validate_report(_report(), "r") == []
-
-    def test_runtime_suite_requires_process_rows(self):
-        problems = check_bench.validate_report(_report(suite="runtime"), "r")
-        assert any("process-backend" in problem for problem in problems)
 
     def test_disagreement_fails_validation(self):
         report = _report(results=[_row("q:scan"), _row("q:indexed", agreement=False)])
         problems = check_bench.validate_report(report, "r")
         assert any("agreement" in problem for problem in problems)
 
-    def test_service_suite_valid_with_details(self):
-        assert check_bench.validate_report(_service_report(), "r") == []
+    def test_non_object_report_fails(self):
+        problems = check_bench.validate_report([_report()], "r")
+        assert problems == ["r: top level must be a JSON object"]
 
-    def test_service_suite_requires_details_section(self):
-        report = _service_report()
-        del report["service"]
+    def test_missing_top_level_key_fails(self):
+        report = _report()
+        del report["cpu_count"]
         problems = check_bench.validate_report(report, "r")
-        assert any("'service' section" in problem for problem in problems)
+        assert any("missing top-level key 'cpu_count'" in p for p in problems)
 
-    def test_service_loadtest_failures_are_zero_tolerance(self):
-        report = _service_report(loadtest=_loadtest(failures=3, failure_rate=0.05))
+    def test_wrong_top_level_type_fails(self):
+        report = _report()
+        report["workload"] = [10, 100]
         problems = check_bench.validate_report(report, "r")
-        assert any("failure-free" in problem for problem in problems)
+        assert any("'workload' must be dict" in p for p in problems)
 
-    def test_service_loadtest_must_carry_run_table_columns(self):
-        broken = _loadtest()
-        del broken["p95_latency_ms"]
-        problems = check_bench.validate_report(_service_report(loadtest=broken), "r")
-        assert any("p95_latency_ms" in problem for problem in problems)
+    def test_unknown_schema_fails(self):
+        report = _report()
+        report["schema"] = "repro.bench/0"
+        problems = check_bench.validate_report(report, "r")
+        assert any("unknown schema" in p for p in problems)
+
+    @pytest.mark.parametrize("suite", ["runtime", "service", "Store"])
+    def test_unknown_suite_fails(self, suite):
+        # The retired runtime and service suites are not valid reports any
+        # more, and a misspelt suite may not skip its section's gates.
+        problems = check_bench.validate_report(_report(suite=suite), "r")
+        assert any(f"unknown suite {suite!r}" in p for p in problems)
+
+    @pytest.mark.parametrize("key", ["sequences", "records"])
+    def test_empty_workload_fails(self, key):
+        report = _report()
+        report["workload"][key] = 0
+        problems = check_bench.validate_report(report, "r")
+        assert any(f"workload.{key} must be a positive int" in p for p in problems)
+
+    def test_zero_workers_fails(self):
+        report = _report()
+        report["workers"] = 0
+        problems = check_bench.validate_report(report, "r")
+        assert any("workers must be at least 1" in p for p in problems)
+
+    def test_empty_results_fail(self):
+        problems = check_bench.validate_report(_report(results=[]), "r")
+        assert any("results must not be empty" in p for p in problems)
+
+    def test_row_missing_key_fails(self):
+        row = _row("q:scan")
+        del row["speedup_vs_serial"]
+        problems = check_bench.validate_report(_report(results=[row]), "r")
+        assert any("missing key 'speedup_vs_serial'" in p for p in problems)
+
+    def test_unknown_backend_fails(self):
+        report = _report(results=[_row("q:scan"), _row("q:gpu", backend="gpu")])
+        problems = check_bench.validate_report(report, "r")
+        assert any("backend must be one of" in p for p in problems)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("seconds", 0), ("speedup_vs_serial", -1.0), ("seconds", True)],
+    )
+    def test_timings_must_be_positive_numbers(self, key, value):
+        row = _row("q:indexed")
+        row[key] = value
+        problems = check_bench.validate_report(
+            _report(results=[_row("q:scan"), row]), "r"
+        )
+        assert any(f"{key} must be a positive number" in p for p in problems)
+
+    def test_missing_serial_row_fails(self):
+        report = _report(results=[_row("q:indexed", backend="thread", workers=2)])
+        problems = check_bench.validate_report(report, "r")
+        assert any("no serial baseline entry" in p for p in problems)
 
 
 class TestCompare:
@@ -166,7 +176,7 @@ class TestCompare:
 
     def test_suite_mismatch_fails(self):
         problems = check_bench.compare_reports(
-            _report(suite="runtime"), _report(suite="queries"), 0.25, "r"
+            _report(suite="store"), _report(suite="queries"), 0.25, "r"
         )
         assert any("does not match" in problem for problem in problems)
 
@@ -204,6 +214,48 @@ class TestMain:
         report = self._write(tmp_path, "BENCH_queries.json", _report())
         with pytest.raises(SystemExit):
             check_bench.main([str(report), "--tolerance", "1.5"])
+
+    def test_suite_tolerance_widens_only_its_suite(self, tmp_path):
+        # The indexed row drops 8.0 -> 3.0 (-62.5%): over the 0.25 default,
+        # within a 0.7 band for the queries suite, and a store band leaves
+        # the queries gate at the default.
+        baseline_dir = tmp_path / "baselines"
+        baseline_dir.mkdir()
+        self._write(baseline_dir, "BENCH_queries.json", _report())
+        slower = self._write(
+            tmp_path,
+            "BENCH_queries.json",
+            _report(results=[_row("s:tkprq:scan"), _row("s:tkprq:indexed", speedup=3.0)]),
+        )
+        compare = [str(slower), "--compare", str(baseline_dir)]
+        assert check_bench.main(compare + ["--suite-tolerance", "queries=0.7"]) == 0
+        assert check_bench.main(compare + ["--suite-tolerance", "store=0.7"]) == 1
+
+    @pytest.mark.parametrize("spec", ["store", "store=abc", "=0.5", "store=1.0"])
+    def test_malformed_suite_tolerance_rejected(self, tmp_path, spec):
+        report = self._write(tmp_path, "BENCH_queries.json", _report())
+        with pytest.raises(SystemExit):
+            check_bench.main([str(report), "--suite-tolerance", spec])
+
+    def test_missing_report_file_fails(self, tmp_path):
+        assert check_bench.main([str(tmp_path / "BENCH_queries.json")]) == 1
+
+    def test_invalid_json_fails(self, tmp_path):
+        path = tmp_path / "BENCH_queries.json"
+        path.write_text("{not json")
+        assert check_bench.main([str(path)]) == 1
+
+    def test_no_reports_in_cwd_fails(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert check_bench.main([]) == 1
+
+    @pytest.mark.parametrize("suite", ["queries", "store"])
+    def test_committed_baseline_validates_and_matches_itself(self, suite):
+        # CI compares fresh --tiny runs against these files, so each must
+        # pass the validator and its own comparison at zero tolerance.
+        baseline = REPO_ROOT / "benchmarks" / "baselines" / f"BENCH_{suite}.json"
+        assert check_bench.main([str(baseline), "--compare", str(baseline),
+                                 "--tolerance", "0"]) == 0
 
 
 def _precision_cell(**overrides):
@@ -270,7 +322,80 @@ class TestPrecisionSection:
         assert any("parallel lists" in problem for problem in problems)
 
     def test_section_only_validated_for_queries_suite(self):
-        report = _report(suite="runtime")
+        report = _report(suite="store")
         report["precision"] = []  # ignored outside the queries suite
         problems = check_bench.validate_report(report, "r")
         assert not any("precision" in problem for problem in problems)
+
+
+def _store_report(**section_overrides):
+    section = {
+        "shards": 4,
+        "shard_counts": [1, 2, 4],
+        "snapshot_every": 4096,
+        "scatter_agreement": True,
+        "recovery": {"exact": True, "replayed_records": 100, "truncated_bytes": 0},
+        "pending_after_flush": 0,
+    }
+    section.update(section_overrides)
+    report = _report(
+        suite="store",
+        results=[_row("tkprq:single"), _row("tkprq:scatter-4", workers=4, speedup=0.8)],
+    )
+    report["store"] = section
+    return report
+
+
+class TestStoreSection:
+    def test_valid_section_passes(self):
+        assert check_bench.validate_report(_store_report(), "r") == []
+
+    def test_section_is_required(self):
+        report = _store_report()
+        del report["store"]
+        problems = check_bench.validate_report(report, "r")
+        assert any("requires a 'store' section" in p for p in problems)
+
+    def test_missing_keys_fail(self):
+        report = _store_report()
+        del report["store"]["shard_counts"]
+        problems = check_bench.validate_report(report, "r")
+        assert any("missing key 'shard_counts'" in p for p in problems)
+
+    @pytest.mark.parametrize("shards", [0, True])
+    def test_shards_must_be_a_positive_int(self, shards):
+        problems = check_bench.validate_report(_store_report(shards=shards), "r")
+        assert any("store.shards must be a positive int" in p for p in problems)
+
+    @pytest.mark.parametrize("counts", [[], [1, 0], "1,2,4"])
+    def test_shard_counts_must_be_positive_ints(self, counts):
+        problems = check_bench.validate_report(
+            _store_report(shard_counts=counts), "r"
+        )
+        assert any("store.shard_counts must be" in p for p in problems)
+
+    def test_scatter_disagreement_fails(self):
+        problems = check_bench.validate_report(
+            _store_report(scatter_agreement=False), "r"
+        )
+        assert any("scatter_agreement must be true" in p for p in problems)
+
+    def test_inexact_recovery_fails(self):
+        recovery = {"exact": False, "replayed_records": 100, "truncated_bytes": 0}
+        problems = check_bench.validate_report(_store_report(recovery=recovery), "r")
+        assert any("recovery.exact must be true" in p for p in problems)
+
+    def test_negative_replay_count_fails(self):
+        recovery = {"exact": True, "replayed_records": -1, "truncated_bytes": 0}
+        problems = check_bench.validate_report(_store_report(recovery=recovery), "r")
+        assert any("replayed_records must be a non-negative int" in p for p in problems)
+
+    def test_recovery_must_be_an_object(self):
+        problems = check_bench.validate_report(_store_report(recovery=True), "r")
+        assert any("store.recovery must be an object" in p for p in problems)
+
+    def test_pending_writes_after_flush_fail(self):
+        problems = check_bench.validate_report(
+            _store_report(pending_after_flush=3), "r"
+        )
+        assert any("pending_after_flush must be 0" in p for p in problems)

@@ -12,10 +12,12 @@ import json
 import socket
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 from urllib.parse import quote
 
 import pytest
 
+from repro.net.__main__ import main as net_main
 from repro.net.server import ServerThread
 from repro.net.wire import (
     pairs_to_wire,
@@ -132,6 +134,50 @@ def test_stream_lifecycle_matches_inprocess(served, fitted_annotator, small_spli
         reference.store.semantics_for(labeled.object_id)
     )
     assert service.get_session(object_id) is None
+
+
+def test_concurrent_streams_match_inprocess(served, fitted_annotator, small_split):
+    """Clients streaming at once each get their own serial in-process answer.
+
+    Three sessions interleave their record batches, each followed by a
+    query, on one server: no request may fail, and no session's
+    m-semantics may depend on the others' traffic.
+    """
+    server, service = served
+    _, test = small_split
+    streams = [labeled.sequence[:40] for labeled in test.sequences[:3]]
+    object_ids = [
+        f"{labeled.object_id}/concurrent" for labeled in test.sequences[:3]
+    ]
+
+    def stream(object_id, sequence):
+        path = f"/v1/sessions/{quote(object_id, safe='')}"
+        assert _request(server, "POST", "/v1/sessions", {"object_id": object_id})[0] == 201
+        records = [record_to_wire(record) for record in sequence]
+        finalized = []
+        for start in range(0, len(records), 5):
+            status, payload = _request(
+                server, "POST", f"{path}/records", {"records": records[start:start + 5]}
+            )
+            assert status == 200
+            finalized.extend(payload["finalized"])
+            assert _request(server, "GET", "/v1/queries/popular-regions?k=3")[0] == 200
+        status, payload = _request(server, "POST", f"{path}/finish", {})
+        assert status == 200
+        return finalized + payload["flushed"]
+
+    with ThreadPoolExecutor(max_workers=len(streams)) as pool:
+        answers = list(pool.map(stream, object_ids, streams))
+
+    for object_id, sequence, answer in zip(object_ids, streams, answers):
+        reference = AnnotationService(fitted_annotator)
+        session = reference.session(object_id)
+        expected = list(session.extend(list(sequence)))
+        expected.extend(session.finish())
+        assert answer == json.loads(json.dumps(semantics_to_wire(expected)))
+        assert service.store.semantics_for(object_id) == (
+            reference.store.semantics_for(object_id)
+        )
 
 
 def test_query_endpoints_match_inprocess(served):
@@ -350,3 +396,18 @@ def test_graceful_shutdown_drains_open_sessions(fitted_annotator, small_split):
     assert service.store.semantics_for("drain-me") == (
         reference.store.semantics_for(labeled.object_id)
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],  # --serve is the only mode
+        ["--serve", "--rate", "5"],  # the load generator's flags are retired
+        ["--serve", "--mix", "stream=1"],
+    ],
+)
+def test_cli_rejects_anything_but_serve(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        net_main(argv)
+    assert excinfo.value.code == 2
+    capsys.readouterr()

@@ -51,21 +51,18 @@ def _row(name, *, backend="serial", workers=1, speedup=1.0, seconds=0.5, **extra
     return row
 
 
-def _runtime_report(*, process_speedup=6.0):
+def _store_report(*, scatter_speedup=0.8):
     return _envelope(
-        "runtime",
+        "store",
         [
-            _row("annotate_many", phase="steady", speedup=1.0, seconds=2.0),
-            _row("annotate_many", backend="thread", workers=4,
-                 phase="steady", speedup=3.5, seconds=0.57),
-            _row("annotate_many", backend="process", workers=4,
-                 phase="steady", speedup=process_speedup, seconds=0.33),
-            _row("annotate_many_batched", phase="steady",
-                 speedup=5.0, seconds=0.4),
-            _row("annotate_many_warmup", backend="process", workers=4,
-                 phase="warmup", speedup=2.0, seconds=1.0),
+            _row("ingest:single", speedup=1.0, seconds=0.01),
+            _row("tkprq:single", speedup=1.0, seconds=0.002),
+            _row("tkprq:scatter-1", speedup=0.9, seconds=0.0022),
+            _row("tkprq:scatter-4", workers=4, speedup=scatter_speedup,
+                 seconds=0.0025),
+            _row("tkfrpq:single", speedup=1.0, seconds=0.02),
+            _row("tkfrpq:scatter-4", workers=4, speedup=0.7, seconds=0.028),
         ],
-        fit_seconds=1.25,
     )
 
 
@@ -98,18 +95,18 @@ def _queries_report(*, indexed_speedup=8.0):
     )
 
 
-def _write_corpus(root, *, process_speedup=6.0, indexed_speedup=8.0):
+def _write_corpus(root, *, scatter_speedup=0.8, indexed_speedup=8.0):
     """A baseline dir and a current dir holding one small corpus each."""
     baselines = root / "baselines"
     current = root / "current"
     for directory in (baselines, current):
         directory.mkdir(parents=True, exist_ok=True)
-    for directory, runtime_speedup, query_speedup in (
-        (baselines, 6.0, 8.0),
-        (current, process_speedup, indexed_speedup),
+    for directory, store_speedup, query_speedup in (
+        (baselines, 0.8, 8.0),
+        (current, scatter_speedup, indexed_speedup),
     ):
-        (directory / "BENCH_runtime.json").write_text(
-            json.dumps(_runtime_report(process_speedup=runtime_speedup)))
+        (directory / "BENCH_store.json").write_text(
+            json.dumps(_store_report(scatter_speedup=store_speedup)))
         (directory / "BENCH_queries.json").write_text(
             json.dumps(_queries_report(indexed_speedup=query_speedup)))
     return baselines, current
@@ -151,7 +148,8 @@ class TestGoldenSpecs:
     """
 
     @pytest.mark.parametrize("name", [
-        "trends.vl.json", "runtime_speedup.vl.json", "precision.vl.json",
+        "trends.vl.json", "store_scatter.vl.json", "precision.vl.json",
+        "query_latency.vl.json",
     ])
     def test_spec_matches_golden(self, tmp_path, name):
         build = _build(tmp_path, "report")
@@ -208,41 +206,41 @@ class TestRegressionAnnotation:
         assert rows and not any(row["regressed"] for row in rows)
 
     def test_drop_below_floor_is_flagged(self, tmp_path):
-        # runtime suite tolerance 0.3: floor = 6.0 * 0.7 = 4.2; 2.0 < 4.2.
-        rows = self._trends(tmp_path, process_speedup=2.0)
+        # default tolerance 0.5: floor = 8.0 * 0.5 = 4.0; 2.0 < 4.0.
+        rows = self._trends(tmp_path, indexed_speedup=2.0)
         flagged = [row for row in rows if row["regressed"]]
         assert [row["metric"] for row in flagged] == [
-            "runtime:annotate_many[process]"
+            "queries:demo:tkprq:indexed[serial]"
         ]
         assert flagged[0]["source"] == "current"
-        assert flagged[0]["floor"] == pytest.approx(4.2)
-        assert flagged[0]["delta_pct"] == pytest.approx(-66.67)
+        assert flagged[0]["floor"] == pytest.approx(4.0)
+        assert flagged[0]["delta_pct"] == pytest.approx(-75.0)
 
     def test_drop_within_tolerance_is_not_flagged(self, tmp_path):
-        rows = self._trends(tmp_path, process_speedup=4.5)  # above the 4.2 floor
+        rows = self._trends(tmp_path, indexed_speedup=4.5)  # above the 4.0 floor
         assert not any(row["regressed"] for row in rows)
 
     def test_baseline_rows_are_never_flagged(self, tmp_path):
-        rows = self._trends(tmp_path, process_speedup=2.0, indexed_speedup=1.0)
+        rows = self._trends(tmp_path, scatter_speedup=0.1, indexed_speedup=1.0)
         assert not any(
             row["regressed"] for row in rows if row["source"] == "baseline"
         )
 
-    def test_warmup_rows_use_the_looser_default_tolerance(self, tmp_path):
-        rows = self._trends(tmp_path)
-        warmup = [row for row in rows if row["name"] == "annotate_many_warmup"]
-        steady = [row for row in rows if row["metric"]
-                  == "runtime:annotate_many[process]"]
-        assert all(row["tolerance"] == 0.5 for row in warmup)
-        assert all(row["tolerance"] == 0.3 for row in steady)
+    def test_suite_tolerance_overrides_the_default(self, tmp_path):
+        # store suite tolerance 0.6: floor = 0.8 * 0.4 = 0.32, so 0.35
+        # passes where the default 0.5 band (floor 0.4) would flag it.
+        rows = self._trends(tmp_path, scatter_speedup=0.35)
+        assert all(row["tolerance"] == 0.6 for row in rows if row["suite"] == "store")
+        assert all(row["tolerance"] == 0.5 for row in rows if row["suite"] == "queries")
+        assert not any(row["regressed"] for row in rows)
 
     def test_flagged_regressions_surface_in_the_report(self, tmp_path):
-        build = _build(tmp_path, "report", process_speedup=2.0)
+        build = _build(tmp_path, "report", indexed_speedup=2.0)
         assert [row["metric"] for row in build.regressions] == [
-            "runtime:annotate_many[process]"
+            "queries:demo:tkprq:indexed[serial]"
         ]
         markdown = (build.out_dir / "REPORT.md").read_text()
-        assert "annotate_many" in markdown
+        assert "demo:tkprq:indexed" in markdown
 
 
 def regenerate_golden():
@@ -252,7 +250,8 @@ def regenerate_golden():
     root = Path(tempfile.mkdtemp())
     build = _build(root, "report")
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    for name in ("trends.vl.json", "runtime_speedup.vl.json", "precision.vl.json"):
+    for name in ("trends.vl.json", "store_scatter.vl.json", "precision.vl.json",
+                 "query_latency.vl.json"):
         (GOLDEN_DIR / name).write_bytes(
             (build.out_dir / "specs" / name).read_bytes())
     (GOLDEN_DIR / "trends.csv").write_bytes(

@@ -5,13 +5,12 @@ mobility profiles, dropout bursts and the adversarial device regimes
 (multipath bias, clock skew/jitter, duplicate retransmissions), streaming
 materialisation, seed determinism, and every integration surface of the
 scenario layer: experiment runners, the evaluation harness,
-``repro.bench --scenario``, the streaming replay and the CLI.
+``repro.bench --queries --scenario``, the streaming replay and the CLI.
 """
 
 import pytest
 
 from repro.bench.runner import main as bench_main
-from repro.bench.runner import run_scenario_benchmarks
 from repro.evaluation.experiments import (
     ExperimentScale,
     build_real_style_dataset,
@@ -49,7 +48,7 @@ from repro.scenarios import (
     unregister_scenario,
 )
 from repro.scenarios.__main__ import main as scenarios_main
-from repro.service import replay_scenario
+from repro.service import ReplayReport, replay_scenario
 
 
 # ---------------------------------------------------------------- specs
@@ -634,40 +633,17 @@ class TestEvaluationIntegration:
 # ------------------------------------------------------ bench integration
 class TestBenchIntegration:
     def test_bench_cli_accepts_every_registered_scenario(self, capsys):
-        """`python -m repro.bench --scenario X` parses for the whole catalogue."""
+        """`python -m repro.bench --queries --scenario X` parses for the whole catalogue."""
         for name in scenario_names():
             with pytest.raises(SystemExit) as excinfo:
-                bench_main(["--scenario", name, "--help"])
+                bench_main(["--queries", "--scenario", name, "--help"])
             assert excinfo.value.code == 0
             capsys.readouterr()
 
     def test_bench_cli_rejects_unknown_scenario(self, capsys):
         with pytest.raises(SystemExit):
-            bench_main(["--scenario", "atlantis", "--out", "/tmp/never.json"])
+            bench_main(["--queries", "--scenario", "atlantis", "--out", "/tmp/never.json"])
         capsys.readouterr()
-
-    def test_run_scenario_benchmarks_report_shape(self):
-        report = run_scenario_benchmarks(
-            ["transit-commuters"], workers=2, replication=1
-        )
-        assert report["suite"] == "scenarios"
-        assert {entry["backend"] for entry in report["results"]} == {"serial", "process"}
-        assert all(entry["agreement"] for entry in report["results"])
-        detail = report["scenarios"][0]
-        assert detail["name"] == "transit-commuters"
-        assert detail["fingerprint"] == materialize("transit-commuters").fingerprint
-
-        # The report passes the repo's own schema validator.
-        import sys
-        from pathlib import Path
-
-        tools_dir = str(Path(__file__).resolve().parents[1] / "tools")
-        sys.path.insert(0, tools_dir)
-        try:
-            from check_bench import validate_report
-        finally:
-            sys.path.remove(tools_dir)
-        assert validate_report(report, "inline") == []
 
 
 # ------------------------------------- cross-backend conformance (PR 3 ext.)
@@ -720,6 +696,16 @@ class TestCrossBackendScenarioDeterminism:
 
 # ---------------------------------------------------- service integration
 class TestScenarioReplay:
+    def test_report_row_keeps_field_order_then_derived_rate(self):
+        report = ReplayReport(
+            scenario="mall-tiny", seed=1, objects=2, records=100, decodes=10,
+            published=20, elapsed_seconds=2.0, window=48, exact=False,
+        )
+        row = report.row()
+        assert list(row)[:3] == ["scenario", "seed", "objects"]
+        assert list(row)[-1] == "records_per_second"
+        assert row["records_per_second"] == pytest.approx(50.0)
+
     def test_windowed_replay_publishes_and_is_deterministic(self, fitted_annotator):
         service, report = replay_scenario(
             "mall-tiny", annotator=fitted_annotator, window=16

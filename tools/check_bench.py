@@ -4,9 +4,9 @@
 Two modes, composable:
 
 **Schema validation** (always on): a malformed report — wrong schema
-version, missing keys, bad types, or any result row with
-``"agreement": false`` — fails the check, so the uploaded perf artifact is
-always machine-readable and trustworthy.
+version, a suite other than ``queries`` or ``store``, missing keys, bad
+types, or any result row with ``"agreement": false`` — fails the check,
+so the uploaded perf artifact is always machine-readable and trustworthy.
 
 **Baseline comparison** (``--compare``): every validated report is matched
 against a committed baseline (a file, or a directory holding
@@ -21,26 +21,20 @@ check fails when a metric regresses beyond ``--tolerance``:
 * result rows present in the baseline must still exist (keyed by
   ``(name, backend, workers)``); new rows in the current report are fine.
 
-Suites may be gated tighter than the default with
-``--suite-tolerance SUITE=TOL`` (repeatable) — the batched runtime suite
-reports steady-state warm-pool numbers that are far less noisy than the
-original cold-pool timings, so CI holds it to a tighter band.  Rows whose
-``phase`` is ``"warmup"`` (cold pool / cold cache) always use the looser
-default ``--tolerance``: first-touch costs are the one thing that *is*
-machine-noise-bound.
+Suites may be gated differently from the default with
+``--suite-tolerance SUITE=TOL`` (repeatable) — CI widens the band of the
+store suite, whose WAL rows measure tmpdir filesystem behaviour.
 
 Usage::
 
-    python tools/check_bench.py BENCH_runtime.json [more.json ...]
+    python tools/check_bench.py BENCH_queries.json [more.json ...]
     python tools/check_bench.py                # every BENCH_*.json in cwd
-    python tools/check_bench.py BENCH_runtime.json BENCH_queries.json \
-        --compare benchmarks/baselines --tolerance 0.5 \
-        --suite-tolerance runtime=0.3
+    python tools/check_bench.py BENCH_store.json \
+        --compare benchmarks/baselines --suite-tolerance store=0.6
 
 Exit status is 0 when every file validates (and, with ``--compare``, shows
-no regression), 1 otherwise.  Wall-clock *floors* are deliberately not
-enforced here; those assertions live in ``benchmarks/test_perf_*.py``
-behind the ``REPRO_PERF_FLOOR`` relaxation.
+no regression), 1 otherwise.  Wall-clock numbers are never gated here:
+end-to-end speed is judged by the repository benchmark (``perfbench/``).
 """
 
 from __future__ import annotations
@@ -73,67 +67,6 @@ _TOP_TYPES = {
     "workload": dict,
     "results": list,
 }
-
-#: Suites whose workload must include a process-backend run.  The query
-#: suite is single-process by design (the index wins algorithmically, not
-#: by sharding), so it only needs the serial rows.  The service suite
-#: measures the HTTP front door, whose backend is server configuration.
-_PROCESS_BACKED_SUITES = {"runtime", "scenarios"}
-
-#: Suites produced by the batched ``annotate_many`` pipeline.  Their rows
-#: must carry a ``phase`` marker, their process rows must record the
-#: post-coalescing ``bucket_sizes`` layout, and their workload must state
-#: how many distinct sequences survived duplicate coalescing.
-_BATCHED_SUITES = {"runtime", "scenarios"}
-
-#: Valid values of a result row's ``phase`` marker.
-_PHASES = {"warmup", "steady"}
-
-#: Columns every service-suite loadtest entry must carry (the run_table.csv
-#: shape of ``repro.net.loadgen``).
-_LOADTEST_KEYS = (
-    "requests",
-    "failures",
-    "throughput_rps",
-    "p50_latency_ms",
-    "p95_latency_ms",
-    "p99_latency_ms",
-    "failure_rate",
-)
-
-
-def _validate_service_section(report: dict, origin: str) -> list:
-    """Service-suite extras: per-scenario details + a failure-free loadtest."""
-    problems = []
-    details = report.get("service")
-    if not isinstance(details, list) or not details:
-        return [f"{origin}: service suite requires a non-empty 'service' section"]
-    for index, detail in enumerate(details):
-        where = f"{origin}: service[{index}]"
-        if not isinstance(detail, dict):
-            problems.append(f"{where} must be an object")
-            continue
-        for key in ("name", "fingerprint", "loadtest"):
-            if key not in detail:
-                problems.append(f"{where} missing key {key!r}")
-        loadtest = detail.get("loadtest")
-        if not isinstance(loadtest, dict):
-            problems.append(f"{where}: loadtest must be an object")
-            continue
-        for key in _LOADTEST_KEYS:
-            if key not in loadtest:
-                problems.append(f"{where}: loadtest missing column {key!r}")
-        # The open-loop run is gated at zero tolerance: a served request
-        # failing under nominal load is a correctness bug, not noise.
-        if loadtest.get("failures", 0) != 0 or loadtest.get("failure_rate", 0) != 0:
-            problems.append(
-                f"{where}: loadtest recorded failed requests "
-                f"(failures={loadtest.get('failures')!r}, "
-                f"failure_rate={loadtest.get('failure_rate')!r}) — "
-                "the open-loop run must be failure-free"
-            )
-    return problems
-
 
 def _validate_precision_section(report: dict, origin: str) -> list:
     """Queries-suite extra (optional): annotation-vs-truth answer quality.
@@ -249,6 +182,15 @@ def _validate_store_section(report: dict, origin: str) -> list:
     return problems
 
 
+#: Every suite ``python -m repro.bench`` writes, with the validator of its
+#: extra section.  Any other suite name is rejected, so a stale report of a
+#: retired suite (or a misspelt one) cannot skip its section's gates.
+_SUITE_SECTIONS = {
+    "queries": _validate_precision_section,
+    "store": _validate_store_section,
+}
+
+
 def validate_report(report: object, origin: str) -> list:
     """Return a list of problem strings for one parsed report (empty = valid)."""
     problems = []
@@ -271,31 +213,17 @@ def validate_report(report: object, origin: str) -> list:
             f"(this validator understands {BENCH_SCHEMA!r})"
         )
     suite = report["suite"]
-    batched_suite = suite in _BATCHED_SUITES
     workload = report["workload"]
     for key in ("sequences", "records"):
         value = workload.get(key)
         if not isinstance(value, int) or value < 1:
             problems.append(f"{origin}: workload.{key} must be a positive int")
-    if batched_suite or "unique_sequences" in workload:
-        unique = workload.get("unique_sequences")
-        if not isinstance(unique, int) or unique < 1:
-            problems.append(
-                f"{origin}: workload.unique_sequences must be a positive int"
-            )
-        elif isinstance(workload.get("sequences"), int) \
-                and unique > workload["sequences"]:
-            problems.append(
-                f"{origin}: workload.unique_sequences ({unique}) exceeds "
-                f"workload.sequences ({workload['sequences']})"
-            )
     if report["workers"] < 1:
         problems.append(f"{origin}: workers must be at least 1")
     if not report["results"]:
         problems.append(f"{origin}: results must not be empty")
 
     backends_seen = set()
-    process_phases = set()
     for index, entry in enumerate(report["results"]):
         where = f"{origin}: results[{index}]"
         if not isinstance(entry, dict):
@@ -323,54 +251,18 @@ def validate_report(report: object, origin: str) -> list:
                 f"{where}: agreement must be true — an accelerated path "
                 "disagreeing with the reference answers is a correctness bug"
             )
-        if batched_suite and "phase" not in entry:
-            problems.append(f"{where} missing key 'phase'")
-        if "phase" in entry and entry["phase"] not in _PHASES:
-            problems.append(
-                f"{where}: phase must be one of {sorted(_PHASES)}, "
-                f"got {entry['phase']!r}"
-            )
-        needs_buckets = batched_suite and entry.get("backend") == "process"
-        if needs_buckets and "bucket_sizes" not in entry:
-            problems.append(
-                f"{where}: process rows of the {suite} suite must record "
-                "their post-coalescing bucket_sizes layout"
-            )
-        if "bucket_sizes" in entry:
-            buckets = entry["bucket_sizes"]
-            if (
-                not isinstance(buckets, list)
-                or not buckets
-                or not all(
-                    isinstance(size, int) and not isinstance(size, bool) and size >= 1
-                    for size in buckets
-                )
-            ):
-                problems.append(
-                    f"{where}: bucket_sizes must be a non-empty list of "
-                    f"positive ints, got {buckets!r}"
-                )
-        if entry.get("backend") == "process":
-            process_phases.add(entry.get("phase"))
         backends_seen.add(entry.get("backend"))
 
     if "serial" not in backends_seen:
         problems.append(f"{origin}: no serial baseline entry in results")
-    if suite in _PROCESS_BACKED_SUITES and "process" not in backends_seen:
-        problems.append(f"{origin}: no process-backend entry in results")
-    if suite == "runtime" and "process" in backends_seen \
-            and not _PHASES <= process_phases:
+    validate_section = _SUITE_SECTIONS.get(suite)
+    if validate_section is None:
         problems.append(
-            f"{origin}: the runtime suite must record both a 'warmup' "
-            "(cold pool) and a 'steady' (warm pool) process row, "
-            f"found phases {sorted(p for p in process_phases if p)}"
+            f"{origin}: unknown suite {suite!r} "
+            f"(expected one of {sorted(_SUITE_SECTIONS)})"
         )
-    if suite == "queries":
-        problems.extend(_validate_precision_section(report, origin))
-    if suite == "service":
-        problems.extend(_validate_service_section(report, origin))
-    if suite == "store":
-        problems.extend(_validate_store_section(report, origin))
+    else:
+        problems.extend(validate_section(report, origin))
     return problems
 
 
@@ -380,28 +272,15 @@ def _result_key(entry: dict) -> Tuple[str, str, int]:
 
 
 def compare_reports(
-    current: dict,
-    baseline: dict,
-    tolerance: float,
-    origin: str,
-    *,
-    warmup_tolerance: Optional[float] = None,
+    current: dict, baseline: dict, tolerance: float, origin: str
 ) -> list:
-    """Return regression problems of ``current`` against ``baseline``.
-
-    ``tolerance`` gates steady-state rows; rows marked ``phase: "warmup"``
-    use ``warmup_tolerance`` (never tighter than ``tolerance``) because
-    cold-start costs are dominated by machine noise.
-    """
+    """Return regression problems of ``current`` against ``baseline``."""
     problems = []
     if current.get("suite") != baseline.get("suite"):
         return [
             f"{origin}: suite {current.get('suite')!r} does not match "
             f"baseline suite {baseline.get('suite')!r}"
         ]
-    if warmup_tolerance is None:
-        warmup_tolerance = tolerance
-    warmup_tolerance = max(tolerance, warmup_tolerance)
     current_rows: Dict[Tuple, dict] = {
         _result_key(entry): entry for entry in current.get("results", [])
     }
@@ -420,17 +299,12 @@ def compare_reports(
         if isinstance(base_speedup, (int, float)) and isinstance(
             speedup, (int, float)
         ):
-            row_tolerance = (
-                warmup_tolerance
-                if (row.get("phase") == "warmup" or entry.get("phase") == "warmup")
-                else tolerance
-            )
-            floor = base_speedup * (1.0 - row_tolerance)
+            floor = base_speedup * (1.0 - tolerance)
             if speedup < floor:
                 problems.append(
                     f"{where}: speedup_vs_serial {speedup:.2f}x regressed "
                     f"below {floor:.2f}x (baseline {base_speedup:.2f}x, "
-                    f"tolerance {row_tolerance:.0%})"
+                    f"tolerance {tolerance:.0%})"
                 )
     return problems
 
@@ -489,7 +363,7 @@ def main(argv: list) -> int:
         default=None,
         metavar="SUITE=TOL",
         help="override the tolerance for one suite (repeatable, e.g. "
-        "runtime=0.3); warmup-phase rows always use the looser --tolerance",
+        "store=0.6)",
     )
     args = parser.parse_args(argv)
     if not 0.0 <= args.tolerance < 1.0:
@@ -533,7 +407,6 @@ def main(argv: list) -> int:
                         baseline,
                         suite_tolerances.get(report.get("suite"), args.tolerance),
                         str(path),
-                        warmup_tolerance=args.tolerance,
                     )
                 )
         if problems:
