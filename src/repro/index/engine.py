@@ -2,11 +2,18 @@
 
 :class:`SemanticsIndex` maintains, for every region, a time-sorted list of
 *visit postings* — one ``(start_time, end_time, object_id)`` triple per stay
-m-semantics — plus per-object region sets for pair queries and exact integer
+m-semantics — plus one ledger per object (its m-semantics in arrival order,
+from which pair queries read per-object region sets) and exact integer
 counters (stay/pass totals, collapsed stay transitions) for the analytics
 fast paths.  It is built either incrementally (``add`` on every
 ``SemanticsStore.publish``) or in bulk from batch ``annotate_many`` output or
 a materialised scenario (:meth:`SemanticsIndex.from_semantics`).
+
+Every mutation is a delta on what queries read: ``add`` inserts into sorted
+buckets in place and adds to each memoised pair counter the pairs the
+object gains inside that counter's interval and filter; ``remove`` takes
+the object's postings and pairs back out.  No query pays for the publish
+before it.
 
 Queries answered from the index are *bit-identical* to the linear scan in
 :mod:`repro.queries`: the same visits are counted (a stay contributes when
@@ -25,13 +32,14 @@ consistent snapshot even while streaming sessions keep publishing; see
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left, bisect_right
-from collections import Counter, defaultdict
+from bisect import bisect_left, bisect_right, insort
+from collections import Counter, OrderedDict, defaultdict
 from heapq import heappush, heapreplace
 from itertools import combinations
 from typing import (
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -49,50 +57,46 @@ RegionPair = Tuple[int, int]
 
 
 class _RegionBucket:
-    """Postings of one region, kept sorted by start time (lazily).
+    """Postings of one region, kept sorted by start time once queried.
 
-    Appends are O(1); the first query after a mutation sorts the postings
-    and rebuilds the derived arrays (`starts` aligned with the postings,
-    `ends` independently sorted, the distinct-object set), which bounded
-    interval counting needs for its bisects.
+    Until the first bounded query a bucket only appends, so a bulk build
+    pays one sort rather than one insert per posting.  That query sorts the
+    postings and builds the arrays its bisects need (`starts` aligned with
+    the postings, `ends` independently sorted); from then on :meth:`add`
+    and :meth:`discard` keep all three sorted in place.
     """
 
-    __slots__ = ("postings", "_starts", "_ends", "_objects")
+    __slots__ = ("postings", "_starts", "_ends")
 
     def __init__(self) -> None:
         self.postings: List[Posting] = []
         self._starts: Optional[List[float]] = None
         self._ends: Optional[List[float]] = None
-        self._objects: Optional[Set[str]] = None
 
     def add(self, posting: Posting) -> None:
-        self.postings.append(posting)
-        self._starts = None
-        self._ends = None
-        self._objects = None
+        if self._starts is None:
+            self.postings.append(posting)
+            return
+        slot = bisect_right(self.postings, posting)
+        self.postings.insert(slot, posting)
+        self._starts.insert(slot, posting[0])
+        insort(self._ends, posting[1])
 
-    def remove_object(self, object_id: str) -> int:
-        """Drop every posting of one object; return how many were removed.
-
-        O(bucket) — only the buckets of regions the object actually visited
-        are touched, which is what makes :meth:`SemanticsIndex.remove`
-        incremental instead of a full rebuild.
-        """
-        kept = [posting for posting in self.postings if posting[2] != object_id]
-        removed = len(self.postings) - len(kept)
-        if removed:
-            self.postings = kept
-            self._starts = None
-            self._ends = None
-            self._objects = None
-        return removed
+    def discard(self, posting: Posting) -> None:
+        """Drop one posting, which must be present."""
+        if self._starts is None:
+            self.postings.remove(posting)
+            return
+        slot = bisect_left(self.postings, posting)
+        del self.postings[slot]
+        del self._starts[slot]
+        del self._ends[bisect_left(self._ends, posting[1])]
 
     def _ensure(self) -> None:
         if self._starts is None:
             self.postings.sort()
             self._starts = [posting[0] for posting in self.postings]
             self._ends = sorted(posting[1] for posting in self.postings)
-            self._objects = {posting[2] for posting in self.postings}
 
     @property
     def total(self) -> int:
@@ -128,8 +132,6 @@ class _RegionBucket:
     def objects_in(self, start: Optional[float], end: Optional[float]) -> Set[str]:
         """Distinct objects with at least one visit intersecting the interval."""
         self._ensure()
-        if start is None and end is None:
-            return self._objects
         if end is not None:
             candidates = self.postings[: bisect_right(self._starts, end)]
         else:
@@ -137,6 +139,52 @@ class _RegionBucket:
         if start is None:
             return {posting[2] for posting in candidates}
         return {posting[2] for posting in candidates if posting[1] >= start}
+
+
+def _stayed_regions(
+    semantics: Iterable[MSemantics],
+    start: Optional[float],
+    end: Optional[float],
+    query_regions: Optional[Set[int]],
+) -> Set[int]:
+    """Regions stayed at within the interval and filter — the scan's
+    per-object visited set."""
+    return {
+        ms.region_id
+        for ms in semantics
+        if ms.event == EVENT_STAY
+        and (query_regions is None or ms.region_id in query_regions)
+        and (start is None or ms.end_time >= start)
+        and (end is None or ms.start_time <= end)
+    }
+
+
+def _gained_pairs(held: Set[int], joining: Set[int]) -> Iterator[RegionPair]:
+    """The region pairs a visited set gains when ``joining`` joins ``held``."""
+    fresh = sorted(joining - held)
+    for position, region in enumerate(fresh):
+        for other in held:
+            yield (region, other) if region < other else (other, region)
+        for other in fresh[position + 1:]:
+            yield (region, other)
+
+
+def _bump(counter: Counter, key, delta: int) -> None:
+    """Add ``delta`` to one count and delete it at zero, so the counter
+    equals a fresh rebuild's."""
+    remaining = counter[key] + delta
+    if remaining:
+        counter[key] = remaining
+    else:
+        del counter[key]
+
+
+def _last_stay(semantics: Sequence[MSemantics]) -> Optional[int]:
+    """The region of the last stay, where the next transition starts."""
+    for ms in reversed(semantics):
+        if ms.event == EVENT_STAY:
+            return ms.region_id
+    return None
 
 
 class SemanticsIndex:
@@ -147,56 +195,58 @@ class SemanticsIndex:
     exact per-region counters behind the analytics fast paths.
     """
 
+    #: Memoised pair counters kept at once.  Every publish updates each of
+    #: them, so the memo is small and evicts the least recently used; it
+    #: holds the query bench suite's 7 pair shapes with room to spare.
+    _PAIR_CACHE_LIMIT = 16
+
     def __init__(self) -> None:
         self._lock = threading.RLock()
         self._regions: Dict[int, _RegionBucket] = {}
-        self._object_regions: Dict[str, Set[int]] = {}
         self._stay_counts: Counter = Counter()
         self._pass_counts: Counter = Counter()
         self._transitions: Counter = Counter()
-        self._last_stay: Dict[str, int] = {}
         self._entries = 0
-        # Per-object contribution ledgers: what :meth:`remove` must undo.
-        # The stay chain is the collapsed sequence of stayed-at regions
-        # (consecutive duplicates merged), so consecutive chain pairs are
-        # exactly the transitions the object contributed.
-        self._object_stays: Dict[str, Counter] = {}
-        self._object_passes: Dict[str, Counter] = {}
-        self._object_chain: Dict[str, List[int]] = {}
-        # Pair counters memoised per (start, end, filter) between mutations:
-        # the expensive per-object set expansion runs once per distinct
-        # interval, and every publish invalidates the lot.
-        self._pair_cache: Dict[Tuple, Counter] = {}
-
-    _PAIR_CACHE_LIMIT = 256
+        # One ledger per object: its m-semantics in arrival order, the same
+        # objects the store holds.  What remove unwinds, the last stay a new
+        # transition starts from and the region sets of pair queries all
+        # derive from it.
+        self._ledgers: Dict[str, List[MSemantics]] = {}
+        # Pair counters per (start, end, filter), least recently used first.
+        # The per-object set expansion runs once per key; after that every
+        # add/remove applies only the object's pair difference.
+        self._pair_cache: "OrderedDict[Tuple, Counter]" = OrderedDict()
 
     # -------------------------------------------------------------- building
     def add(self, object_id: str, semantics: Iterable[MSemantics]) -> None:
-        """Ingest one object's m-semantics (must arrive in time order per object)."""
+        """Ingest one object's m-semantics, in arrival order.
+
+        Stays join their region buckets (in place once a bucket is sorted)
+        and every memoised pair counter gains the pairs they add to the
+        object's visited set inside its key.
+        """
         with self._lock:
-            for ms in semantics:
+            entries = list(semantics)
+            if not entries:
+                return
+            ledger = self._ledgers.setdefault(object_id, [])
+            self._shift_pairs(ledger, entries, +1)
+            last = _last_stay(ledger)
+            for ms in entries:
                 self._entries += 1
-                if ms.event != EVENT_STAY:
-                    self._pass_counts[ms.region_id] += 1
-                    self._object_passes.setdefault(object_id, Counter())[
-                        ms.region_id
-                    ] += 1
-                    continue
                 region = ms.region_id
+                if ms.event != EVENT_STAY:
+                    self._pass_counts[region] += 1
+                    continue
                 self._stay_counts[region] += 1
                 bucket = self._regions.get(region)
                 if bucket is None:
                     bucket = self._regions[region] = _RegionBucket()
                 bucket.add((ms.start_time, ms.end_time, object_id))
-                self._object_regions.setdefault(object_id, set()).add(region)
-                self._object_stays.setdefault(object_id, Counter())[region] += 1
-                last = self._last_stay.get(object_id)
-                if last is None or last != region:
-                    self._object_chain.setdefault(object_id, []).append(region)
                 if last is not None and last != region:
                     self._transitions[(last, region)] += 1
-                self._last_stay[object_id] = region
-            self._pair_cache.clear()
+                last = region
+            ledger.extend(entries)
 
     def add_many(
         self, items: Iterable[Tuple[str, Sequence[MSemantics]]]
@@ -207,68 +257,65 @@ class SemanticsIndex:
                 self.add(object_id, semantics)
 
     def rebuild(self, items: Iterable[Tuple[str, Sequence[MSemantics]]]) -> None:
-        """Drop everything and re-ingest (used after ``SemanticsStore.clear``)."""
+        """Drop everything, the pair memo included, and re-ingest
+        (``SemanticsStore.clear()`` with no object id)."""
         with self._lock:
             self._regions.clear()
-            self._object_regions.clear()
             self._stay_counts.clear()
             self._pass_counts.clear()
             self._transitions.clear()
-            self._last_stay.clear()
             self._entries = 0
-            self._object_stays.clear()
-            self._object_passes.clear()
-            self._object_chain.clear()
+            self._ledgers.clear()
             self._pair_cache.clear()
             self.add_many(items)
 
     def remove(self, object_id: str) -> bool:
         """Incrementally drop one object's contribution — O(object), not O(total).
 
-        Every structure the object touched is unwound from the per-object
-        ledgers recorded at :meth:`add` time: its postings leave only the
-        buckets of regions it visited, the stay/pass/transition counters are
-        decremented (and deleted at zero, so counter equality with a fresh
-        rebuild holds bitwise), and the memoised pair counters are
-        invalidated.  Returns ``True`` when the object was present.
+        The object's ledger says what to unwind: each of its postings leaves
+        its bucket (in place, keeping sorted buckets sorted), the
+        stay/pass/transition counters and every memoised pair counter are
+        decremented by what it contributed, and any count that reaches zero
+        is deleted, so every counter equals a fresh rebuild's.  Returns
+        ``True`` when the object was present.
         ``SemanticsStore.clear(object_id)`` calls this instead of rebuilding
         the whole index.
         """
         with self._lock:
-            stays = self._object_stays.pop(object_id, None)
-            passes = self._object_passes.pop(object_id, None)
-            chain = self._object_chain.pop(object_id, ())
-            if stays is None and passes is None:
+            ledger = self._ledgers.pop(object_id, None)
+            if ledger is None:
                 return False
-            for region, count in (passes or {}).items():
-                self._entries -= count
-                remaining = self._pass_counts[region] - count
-                if remaining:
-                    self._pass_counts[region] = remaining
-                else:
-                    del self._pass_counts[region]
-            for region, count in (stays or {}).items():
-                self._entries -= count
-                remaining = self._stay_counts[region] - count
-                if remaining:
-                    self._stay_counts[region] = remaining
-                else:
-                    del self._stay_counts[region]
-                bucket = self._regions.get(region)
-                if bucket is not None:
-                    bucket.remove_object(object_id)
-                    if not bucket.postings:
-                        del self._regions[region]
-            for pair in zip(chain, chain[1:]):
-                remaining = self._transitions[pair] - 1
-                if remaining:
-                    self._transitions[pair] = remaining
-                else:
-                    del self._transitions[pair]
-            self._object_regions.pop(object_id, None)
-            self._last_stay.pop(object_id, None)
-            self._pair_cache.clear()
+            self._shift_pairs((), ledger, -1)
+            self._entries -= len(ledger)
+            last = None
+            for ms in ledger:
+                region = ms.region_id
+                if ms.event != EVENT_STAY:
+                    _bump(self._pass_counts, region, -1)
+                    continue
+                _bump(self._stay_counts, region, -1)
+                bucket = self._regions[region]
+                bucket.discard((ms.start_time, ms.end_time, object_id))
+                if not bucket.postings:
+                    del self._regions[region]
+                if last is not None and last != region:
+                    _bump(self._transitions, (last, region), -1)
+                last = region
             return True
+
+    def _shift_pairs(
+        self, held: Sequence[MSemantics], joining: Sequence[MSemantics], sign: int
+    ) -> None:
+        """Move every memoised pair counter by the pairs one object's visited
+        set gains when ``joining`` joins ``held`` (``sign`` -1 takes them
+        out).  A key that no joining stay falls in is skipped."""
+        for (start, end, query_regions), counts in self._pair_cache.items():
+            arriving = _stayed_regions(joining, start, end, query_regions)
+            if not arriving:
+                continue
+            present = _stayed_regions(held, start, end, query_regions)
+            for pair in _gained_pairs(present, arriving):
+                _bump(counts, pair, sign)
 
     @classmethod
     def from_semantics(cls, semantics_per_object) -> "SemanticsIndex":
@@ -295,11 +342,14 @@ class SemanticsIndex:
             return sum(bucket.total for bucket in self._regions.values())
 
     def stats(self) -> Dict[str, int]:
-        """Sizing summary: regions, objects, postings, entries."""
+        """Sizing summary: regions, objects (with a stay), postings, entries."""
         with self._lock:
             return {
                 "regions": len(self._regions),
-                "objects": len(self._object_regions),
+                "objects": sum(
+                    any(ms.event == EVENT_STAY for ms in ledger)
+                    for ledger in self._ledgers.values()
+                ),
                 "postings": sum(b.total for b in self._regions.values()),
                 "entries": self._entries,
             }
@@ -368,11 +418,13 @@ class SemanticsIndex:
         """Per unordered region pair, the objects that stayed at both — the
         indexed mirror of :func:`repro.queries.tkfrpq.count_region_pairs`.
 
-        Objects with identical visited-region sets are collapsed first and
-        each distinct set contributes its multiplicity per pair, so the
-        quadratic pair expansion runs once per distinct visit pattern
-        rather than once per object.  Returns a copy; the counter itself is
-        memoised per interval/filter until the next mutation.
+        The first query of a key expands pairs once per distinct visited-
+        region set, weighted by how many objects share it.  The counter is
+        then memoised per interval/filter (the
+        :attr:`_PAIR_CACHE_LIMIT` most recently used keys) and every
+        add/remove moves it by the one object's pair difference, deleting
+        pairs that reach zero — so it always equals a rebuild's counter,
+        key for key.  Returns a copy.
         """
         with self._lock:
             return Counter(self._pair_counts(start, end, query_regions))
@@ -390,6 +442,7 @@ class SemanticsIndex:
         )
         cached = self._pair_cache.get(key)
         if cached is not None:
+            self._pair_cache.move_to_end(key)
             return cached
         set_counts: Counter = Counter(
             frozenset(visited)
@@ -399,9 +452,9 @@ class SemanticsIndex:
         for visited, multiplicity in set_counts.items():
             for pair in combinations(sorted(visited), 2):
                 counts[pair] += multiplicity
-        if len(self._pair_cache) >= self._PAIR_CACHE_LIMIT:
-            self._pair_cache.clear()
         self._pair_cache[key] = counts
+        if len(self._pair_cache) > self._PAIR_CACHE_LIMIT:
+            self._pair_cache.popitem(last=False)
         return counts
 
     def _candidate_regions(self, query_regions: Optional[Set[int]]) -> List[int]:
@@ -417,12 +470,10 @@ class SemanticsIndex:
     ) -> Iterable[Set[int]]:
         """Per-object sets of regions visited within the interval."""
         if start is None and end is None:
-            # Full range: the per-object region sets are maintained directly.
-            if query_regions is None:
-                return list(self._object_regions.values())
+            # Full range: every object's stays count, read from its ledger.
             return [
-                regions & query_regions
-                for regions in self._object_regions.values()
+                _stayed_regions(ledger, None, None, query_regions)
+                for ledger in self._ledgers.values()
             ]
         # Bounded: region-major — each bucket's bisect prunes by start time,
         # so only postings near the interval are touched.

@@ -3,7 +3,9 @@
 The central contract — indexed TkPRQ/TkFRPQ answers are bit-identical to
 the linear scan — is asserted over the whole scenario catalogue and over
 hand-built edge cases (empty inputs, open-ended intervals, region filters,
-ties at rank k, degenerate intervals), plus under concurrent publishing.
+ties at rank k, degenerate intervals), under concurrent publishing, and by a
+hypothesis property over random publish/clear/query interleavings against an
+index rebuilt from scratch.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analytics.behaviour import (
     conversion_rates,
@@ -20,7 +23,7 @@ from repro.analytics.behaviour import (
 from repro.evaluation.harness import ground_truth_semantics
 from repro.index import QueryPlan, SemanticsIndex, plan_query, resolve_index
 from repro.mobility.records import EVENT_PASS, EVENT_STAY, MSemantics
-from repro.queries import TkFRPQ, TkPRQ
+from repro.queries import TkFRPQ, TkPRQ, count_region_pairs
 from repro.scenarios import materialize, scenario_names
 from repro.service.store import SemanticsStore
 
@@ -383,3 +386,120 @@ def test_catalogue_equivalence(name):
             frpq = TkFRPQ(k, **shape)
             assert prq.evaluate(index) == prq.evaluate(truth), (name, shape, k)
             assert frpq.evaluate(index) == frpq.evaluate(truth), (name, shape, k)
+
+
+# --------------------------------------------------------------------------
+# Property: live index == rebuilt index == scan, under any interleaving
+# --------------------------------------------------------------------------
+#: Every kind of key the pair memo holds: full range, bounded, both
+#: open-ended directions, region-filtered, bounded and filtered, degenerate.
+SCRIPT_SHAPES = [
+    dict(),
+    dict(start=200.0, end=600.0),
+    dict(start=None, end=400.0),
+    dict(start=400.0, end=None),
+    dict(query_regions={0, 2, 4}),
+    dict(start=100.0, end=700.0, query_regions={1, 2, 3}),
+    dict(start=600.0, end=300.0),
+]
+
+#: One m-semantics on a 10 s grid, so periods often touch the shapes' bounds.
+_script_entry = st.builds(
+    lambda region, start, duration, stay: MSemantics(
+        region_id=region,
+        start_time=10.0 * start,
+        end_time=10.0 * (start + duration),
+        event=EVENT_STAY if stay else EVENT_PASS,
+    ),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=90),
+    st.integers(min_value=0, max_value=12),
+    st.booleans(),
+)
+#: One step of a script: its kind (publishes weigh most, so objects build up)
+#: and every argument any kind might use.
+_script_step = st.tuples(
+    st.sampled_from(["publish"] * 5 + ["clear"] * 2 + ["clear all", "query", "query"]),
+    st.integers(min_value=0, max_value=3).map(lambda n: f"obj-{n}"),
+    st.lists(_script_entry, min_size=1, max_size=4),
+    st.sampled_from((TkPRQ, TkFRPQ)),
+    st.sampled_from(SCRIPT_SHAPES),
+    st.integers(min_value=1, max_value=4),
+)
+_script = st.lists(_script_step, min_size=8, max_size=24)
+
+
+def _assert_live_matches_rebuild_and_scan(store):
+    live = store.live_index
+    snapshot = store.as_dict()
+    rebuilt = SemanticsIndex.from_semantics(snapshot)
+    for shape in SCRIPT_SHAPES:
+        # Plain dicts: Counter equality ignores zero counts, which a
+        # delta-maintained counter must not keep.
+        pairs = dict(live.count_pairs(**shape))
+        assert pairs == dict(rebuilt.count_pairs(**shape)), shape
+        assert pairs == dict(count_region_pairs(snapshot, **shape)), shape
+        for k in (1, 3, 50):
+            for query in (TkPRQ(k, **shape), TkFRPQ(k, **shape)):
+                answer = query.evaluate(live)
+                assert answer == query.evaluate(rebuilt), (shape, k)
+                assert answer == query.evaluate(snapshot), (shape, k)
+    assert live.stats() == rebuilt.stats()
+    assert [dict(c) for c in live.conversion_counters()] == [
+        dict(c) for c in rebuilt.conversion_counters()
+    ]
+    assert dict(live.transition_counts()) == dict(rebuilt.transition_counts())
+
+
+@settings(max_examples=60, deadline=None)
+@given(script=_script)
+def test_property_live_index_matches_rebuild_and_scan(script):
+    """Publishes (in any time order, to new or present objects), single-object
+    and full clears and queries, in any interleaving: after every step the
+    live index answers exactly like one rebuilt from the store's contents,
+    and like the scan."""
+    store = SemanticsStore()
+    store.attach_index()
+    for kind, object_id, entries, make_query, shape, k in script:
+        if kind == "publish":
+            store.publish(object_id, entries)
+        elif kind == "clear":
+            store.clear(object_id)
+        elif kind == "clear all":
+            store.clear()
+        else:
+            query = make_query(k, **shape)
+            assert query.evaluate(store.live_index) == query.evaluate(store.as_dict())
+        _assert_live_matches_rebuild_and_scan(store)
+
+
+class TestPairMemo:
+    CAP = SemanticsIndex._PAIR_CACHE_LIMIT
+
+    def test_memo_never_holds_more_keys_than_its_cap(self, objects):
+        index = SemanticsIndex.from_semantics(objects)
+        for window in range(self.CAP + 5):
+            index.top_k_pairs(3, start=float(window), end=500.0)
+            assert len(index._pair_cache) <= self.CAP
+        assert len(index._pair_cache) == self.CAP
+
+    def test_evicted_key_queried_after_publishes_equals_rebuild(self, objects):
+        store = SemanticsStore()
+        for position, entries in enumerate(objects):
+            store.publish(f"object-{position}", entries)
+        index = store.attach_index()
+        query = TkFRPQ(3, start=0.0, end=450.0)
+        first = query.evaluate(index)
+        # CAP more recent keys push the first, least recently used, out.
+        for window in range(self.CAP):
+            index.count_pairs(start=1000.0 + window, end=2000.0)
+        assert (0.0, 450.0, None) not in index._pair_cache
+        store.publish("late", [_stay(1, 10, 20), _stay(2, 30, 40), _stay(3, 300, 310)])
+        store.clear("object-1")
+        rebuilt = SemanticsIndex.from_semantics(store.as_dict())
+        answer = query.evaluate(index)
+        assert answer != first
+        assert answer == query.evaluate(rebuilt) == query.evaluate(store.as_dict())
+        assert dict(index.count_pairs(start=0.0, end=450.0)) == dict(
+            rebuilt.count_pairs(start=0.0, end=450.0)
+        )

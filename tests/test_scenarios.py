@@ -39,6 +39,7 @@ from repro.mobility.simulator import (
 from repro.scenarios import (
     DeviceSpec,
     MobilitySpec,
+    Scenario,
     ScenarioSpec,
     VenueSpec,
     get_scenario,
@@ -718,9 +719,17 @@ class TestScenarioReplay:
         assert again.published == report.published
 
     def test_exact_replay_matches_batch(self, fitted_annotator):
-        _, report = replay_scenario(
-            "mall-tiny", annotator=fitted_annotator, exact=True
+        # Exact sessions re-decode the whole history per record, so replay
+        # one object: two sequences split into one train, one test.
+        full = materialize("mall-tiny")
+        scenario = Scenario(
+            spec=full.spec,
+            seed=full.seed,
+            space=full.space,
+            dataset=full.dataset.subset([0, 1]),
         )
+        _, report = replay_scenario(scenario, annotator=fitted_annotator, exact=True)
+        assert report.objects == 1
         assert report.exact
         assert report.batch_agreement is True
 

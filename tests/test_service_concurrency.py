@@ -12,7 +12,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.mobility.records import PositioningSequence
+from repro.mobility.records import LabeledSequence, PositioningSequence
 from repro.service.service import AnnotationService
 
 
@@ -168,9 +168,22 @@ def test_concurrent_finish_all_races_http_style_finishes(
         )
 
 
+#: Records each churned session streams: past the service's 48-record window,
+#: so every session still slides it, without decoding the whole sequence.
+CHURN_PREFIX = 64
+
+
 def test_session_registry_churn_under_threads(fitted_annotator, small_split):
     _, test = small_split
-    labeled = test.sequences[0]
+    full = test.sequences[0]
+    labeled = LabeledSequence(
+        PositioningSequence(
+            list(full.sequence)[:CHURN_PREFIX], object_id=full.object_id, sort=False
+        ),
+        full.region_labels[:CHURN_PREFIX],
+        full.event_labels[:CHURN_PREFIX],
+    )
+    assert len(labeled) > AnnotationService.DEFAULT_WINDOW
     service = AnnotationService(fitted_annotator)
     errors = []
 
@@ -194,6 +207,7 @@ def test_session_registry_churn_under_threads(fitted_annotator, small_split):
     assert service.live_sessions() == []
     # Every churned object published exactly one stream's worth of semantics.
     reference = _reference_store(fitted_annotator, [labeled])[labeled.object_id]
+    assert reference
     for worker in range(6):
         for round_id in range(5):
             assert service.store.semantics_for(f"churn-{worker}-{round_id}") == (
