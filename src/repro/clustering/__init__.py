@@ -6,6 +6,7 @@ from repro.clustering.stdbscan import (
     DENSITY_NOISE,
     STDBSCAN,
     STDBSCANResult,
+    StreamDensity,
 )
 
 __all__ = [
@@ -14,4 +15,5 @@ __all__ = [
     "DENSITY_NOISE",
     "STDBSCAN",
     "STDBSCANResult",
+    "StreamDensity",
 ]

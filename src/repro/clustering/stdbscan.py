@@ -18,10 +18,18 @@ neighbourhood predicate replaced by the conjunction of the spatial and
 temporal thresholds.  Only planar distance is used for the spatial part —
 false floor values should not break stay detection, exactly as in the paper's
 setting where clustering is applied to the raw uncertain records.
+
+The labels the expansion produces follow a local rule: a record is *core*
+when at least ``min_points`` records (itself included) lie within both
+thresholds of it, *border* when it is not core but one of those neighbours
+is, and *noise* otherwise.  :class:`StreamDensity` applies that rule to the
+tail windows of a growing time-ordered stream, keeping each record's
+neighbour list as records arrive instead of clustering every window afresh.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
@@ -147,3 +155,72 @@ class STDBSCAN:
                 continue
             neighbours.append(j)
         return neighbours
+
+
+class StreamDensity:
+    """ST-DBSCAN density labels of the tail windows of a time-ordered stream.
+
+    Records arrive with non-decreasing timestamps (:meth:`append`), so each
+    new record finds its neighbours with a backward walk that stops at the
+    first record more than ``εt`` older, and adds itself to theirs.
+    :meth:`labels` drops the rows left of a window start and classifies the
+    rest by the local core/border/noise rule, counting only neighbours
+    inside the window.  The labels equal
+    ``clusterer.density_labels(window)`` for every window ``[start, end)``
+    of the stream with non-decreasing ``start``.
+    """
+
+    def __init__(self, clusterer: STDBSCAN):
+        self._clusterer = clusterer
+        # Retained rows; absolute position i lives at list index i - _offset.
+        self._records: List[PositioningRecord] = []
+        # Per retained row: absolute positions of its neighbours at or after
+        # the current window start, ascending, the row itself excluded.
+        self._neighbours: List[List[int]] = []
+        self._offset = 0
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def append(self, record: PositioningRecord) -> None:
+        """Add the newest record of the stream."""
+        records = self._records
+        if records and record.timestamp < records[-1].timestamp:
+            raise ValueError("stream records must arrive in time order")
+        position = self._offset + len(records)
+        left: List[int] = []
+        for j in range(len(records) - 1, -1, -1):
+            other = records[j]
+            if record.timestamp - other.timestamp > self._clusterer.eps_temporal:
+                break
+            if record.planar_distance_to(other) <= self._clusterer.eps_spatial:
+                left.append(self._offset + j)
+                self._neighbours[j].append(position)
+        left.reverse()
+        records.append(record)
+        self._neighbours.append(left)
+
+    def labels(self, start: int) -> List[str]:
+        """Density labels of the window from absolute position ``start`` on.
+
+        Rows left of ``start`` are dropped for good, so ``start`` must not
+        decrease from one call to the next.
+        """
+        cut = start - self._offset
+        if cut > 0:
+            del self._records[:cut]
+            del self._neighbours[:cut]
+            self._offset = start
+            for neighbours in self._neighbours:
+                del neighbours[: bisect_left(neighbours, start)]
+        min_points = self._clusterer.min_points
+        core = [len(neighbours) + 1 >= min_points for neighbours in self._neighbours]
+        labels: List[str] = []
+        for i, neighbours in enumerate(self._neighbours):
+            if core[i]:
+                labels.append(DENSITY_CORE)
+            elif any(core[j - self._offset] for j in neighbours):
+                labels.append(DENSITY_BORDER)
+            else:
+                labels.append(DENSITY_NOISE)
+        return labels

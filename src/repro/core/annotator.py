@@ -39,15 +39,10 @@ from repro.crf.batch import decode_icm_many
 from repro.crf.inference import decode_icm, initial_events, initial_regions
 from repro.crf.learning import AlternateLearner, TrainingReport
 from repro.crf.model import C2MNModel
+from repro.crf.window import WindowState
 from repro.indoor.distance import IndoorDistanceOracle
 from repro.indoor.floorplan import IndoorSpace
 from repro.mobility.records import LabeledSequence, PositioningSequence
-from repro.runtime import (
-    DerivedStateCache,
-    config_fingerprint,
-    sequence_fingerprint,
-    space_fingerprint,
-)
 
 
 class C2MNAnnotator(AnnotatorBase):
@@ -59,7 +54,6 @@ class C2MNAnnotator(AnnotatorBase):
         *,
         config: Optional[C2MNConfig] = None,
         oracle: Optional[IndoorDistanceOracle] = None,
-        cache: Optional[DerivedStateCache] = None,
         name: str = "C2MN",
     ):
         super().__init__(space, config=config, name=name)
@@ -68,13 +62,6 @@ class C2MNAnnotator(AnnotatorBase):
         self._model = C2MNModel(self._extractor)
         self._engine = make_engine(self._model, self._config.engine)
         self._report: Optional[TrainingReport] = None
-        self._cache = cache
-        # Prepared state depends on the config AND the venue, so both go
-        # into the key — a cache shared across annotators on different
-        # spaces must never serve one venue's state to another.
-        self._config_key = (
-            f"{config_fingerprint(self._config)}:{space_fingerprint(space)}"
-        )
 
     # ------------------------------------------------------------ properties
     @property
@@ -89,27 +76,6 @@ class C2MNAnnotator(AnnotatorBase):
     @property
     def training_report(self) -> Optional[TrainingReport]:
         return self._report
-
-    @property
-    def cache(self) -> Optional[DerivedStateCache]:
-        """The derived-state cache, or ``None`` when caching is disabled."""
-        return self._cache
-
-    def enable_cache(self, max_entries: int = 256) -> DerivedStateCache:
-        """Attach (or return the existing) derived-state cache.
-
-        The cache memoises per-sequence preparation — density labels,
-        candidate queries, distances and the lazily built potential tables —
-        keyed by the config fingerprint and the raw sequence content, so
-        repeated decodes of the same sequences skip all label-independent
-        rebuild work.  The prepared state is weight-independent: refitting
-        the model does not invalidate it, while any config change changes
-        the key.  Worth enabling for streaming re-decodes and repeated
-        evaluation passes; pointless for one-shot batch decoding.
-        """
-        if self._cache is None:
-            self._cache = DerivedStateCache(max_entries=max_entries)
-        return self._cache
 
     @property
     def weights(self) -> np.ndarray:
@@ -133,21 +99,20 @@ class C2MNAnnotator(AnnotatorBase):
         return self._report
 
     # ------------------------------------------------------------- inference
-    def _prepared(self, sequence: PositioningSequence) -> SequenceData:
-        """Prepare ``sequence``, consulting the derived-state cache if attached."""
-        if self._cache is None:
-            return self._extractor.prepare(sequence)
-        key = f"prep:{self._config_key}:{sequence_fingerprint(sequence)}"
-        return self._cache.get_or_build(
-            key, lambda: self._extractor.prepare(sequence)
-        )
-
     def predict_labels(
         self, sequence: PositioningSequence
     ) -> Tuple[List[int], List[str]]:
         """Return the decoded region and event labels of one p-sequence."""
-        data = self._prepared(sequence)
-        return decode_icm(self._engine, data)
+        return decode_icm(self._engine, self.prepare(sequence))
+
+    def window_state(self, object_id: str = "object") -> WindowState:
+        """An append-only decode state for one stream of records.
+
+        :class:`repro.service.session.StreamSession` builds one per session
+        and decodes its tail windows from it; each window's labels equal
+        :meth:`predict_labels` of that window (see :mod:`repro.crf.window`).
+        """
+        return WindowState(self._model, self._engine, object_id=object_id)
 
     def _decode_bucket(
         self, sequences: Sequence[PositioningSequence]
@@ -159,7 +124,7 @@ class C2MNAnnotator(AnnotatorBase):
         standalone :func:`repro.crf.inference.decode_icm` call in
         :meth:`predict_labels` (the conformance suite asserts it).
         """
-        datas = [self._prepared(sequence) for sequence in sequences]
+        datas = [self.prepare(sequence) for sequence in sequences]
         return decode_icm_many(self._engine, datas)
 
     # ----------------------------------------------------------- persistence
@@ -208,7 +173,7 @@ class C2MNAnnotator(AnnotatorBase):
         Useful as a sanity baseline and as the starting point the decoder
         refines; exposed for diagnostics and tests.
         """
-        data = self._prepared(sequence)
+        data = self.prepare(sequence)
         return initial_regions(data), initial_events(data)
 
     def prepare(self, sequence: PositioningSequence) -> SequenceData:

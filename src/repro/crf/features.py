@@ -53,12 +53,12 @@ from repro.clustering.stdbscan import (
 from repro.crf.cliques import WeightLayout
 from repro.core.config import C2MNConfig
 from repro.geometry.circle import Circle, circle_polygon_intersection_area
-from repro.geometry.point import Point
 from repro.indoor.distance import IndoorDistanceOracle
 from repro.indoor.floorplan import IndoorSpace
 from repro.mobility.records import (
     EVENT_PASS,
     EVENT_STAY,
+    PositioningRecord,
     PositioningSequence,
 )
 
@@ -180,6 +180,11 @@ class FeatureExtractor:
     def oracle(self) -> IndoorDistanceOracle:
         return self._oracle
 
+    @property
+    def clusterer(self) -> STDBSCAN:
+        """The ST-DBSCAN instance that gives the density labels."""
+        return self._clusterer
+
     # ------------------------------------------------------------ preparation
     def prepare(
         self,
@@ -200,16 +205,7 @@ class FeatureExtractor:
         candidates: List[List[int]] = []
         nearest: List[int] = []
         for i, record in enumerate(records):
-            regions = self._space.candidate_regions(
-                record.location,
-                radius=self._config.candidate_radius,
-                max_candidates=self._config.max_candidates,
-            )
-            ids = [region.region_id for region in regions]
-            nearest_region = self._space.nearest_region(record.location)
-            nearest_id = nearest_region.region_id if nearest_region is not None else ids[0]
-            if nearest_id not in ids:
-                ids.insert(0, nearest_id)
+            ids, nearest_id = self.record_candidates(record)
             if true_regions is not None and true_regions[i] not in ids:
                 ids.append(true_regions[i])
             candidates.append(ids)
@@ -218,20 +214,15 @@ class FeatureExtractor:
         planar_steps: List[float] = []
         elapsed_steps: List[float] = []
         speeds: List[float] = []
-        for i in range(n - 1):
-            dist = records[i].planar_distance_to(records[i + 1])
-            elapsed = max(records[i + 1].timestamp - records[i].timestamp, 1e-9)
+        for earlier, later in zip(records, records[1:]):
+            dist, elapsed, speed = self.record_step(earlier, later)
             planar_steps.append(dist)
             elapsed_steps.append(elapsed)
-            speeds.append(dist / elapsed)
+            speeds.append(speed)
 
         turn_flags = [False] * n
         for i in range(1, n - 1):
-            turn_flags[i] = self._is_turn(
-                records[i - 1].location.planar,
-                records[i].location.planar,
-                records[i + 1].location.planar,
-            )
+            turn_flags[i] = self.record_turn(records[i - 1], records[i], records[i + 1])
 
         return SequenceData(
             sequence=sequence,
@@ -246,9 +237,44 @@ class FeatureExtractor:
             true_events=list(true_events) if true_events is not None else None,
         )
 
+    # ------------------------------------------- per-record and per-step state
+    # ``prepare`` and :class:`repro.crf.window.WindowState` both build their
+    # label-independent state from these calls, so the two agree bitwise.
+    def record_candidates(self, record: PositioningRecord) -> Tuple[List[int], int]:
+        """Candidate region ids of one record, and its nearest region id.
+
+        The nearest region always leads the candidates when the radius query
+        missed it, so decoding can fall back to it.
+        """
+        regions = self._space.candidate_regions(
+            record.location,
+            radius=self._config.candidate_radius,
+            max_candidates=self._config.max_candidates,
+        )
+        ids = [region.region_id for region in regions]
+        nearest_region = self._space.nearest_region(record.location)
+        nearest_id = nearest_region.region_id if nearest_region is not None else ids[0]
+        if nearest_id not in ids:
+            ids.insert(0, nearest_id)
+        return ids, nearest_id
+
     @staticmethod
-    def _is_turn(a: Point, b: Point, c: Point) -> bool:
-        """A turn happens when the direction change at ``b`` exceeds 90 degrees."""
+    def record_step(
+        earlier: PositioningRecord, later: PositioningRecord
+    ) -> Tuple[float, float, float]:
+        """``(planar distance, elapsed time, speed)`` of one step."""
+        dist = earlier.planar_distance_to(later)
+        elapsed = max(later.timestamp - earlier.timestamp, 1e-9)
+        return dist, elapsed, dist / elapsed
+
+    @staticmethod
+    def record_turn(
+        before: PositioningRecord, record: PositioningRecord, after: PositioningRecord
+    ) -> bool:
+        """The turn flag of an interior record: heading change above 90 degrees."""
+        a = before.location.planar
+        b = record.location.planar
+        c = after.location.planar
         v1 = (b.x - a.x, b.y - a.y)
         v2 = (c.x - b.x, c.y - b.y)
         n1 = math.hypot(*v1)
@@ -265,7 +291,12 @@ class FeatureExtractor:
         cached = data.fsm_cache.get(key)
         if cached is not None:
             return cached
-        record = data.sequence[index]
+        value = self.record_matching(data.sequence[index], region_id)
+        data.fsm_cache[key] = value
+        return value
+
+    def record_matching(self, record: PositioningRecord, region_id: int) -> float:
+        """``fsm`` of one record against one region (uncached)."""
         region = self._space.region(region_id)
         if region.floor != record.floor:
             value = 0.0
@@ -278,12 +309,14 @@ class FeatureExtractor:
             value = min(1.0, max(0.0, intersection / circle.area))
         if self._region_priors is not None:
             value *= self._region_priors.get(region_id, 0.0)
-        data.fsm_cache[key] = value
         return value
 
     def event_matching(self, data: SequenceData, index: int, event: str) -> float:
         """``fem``: agreement between the record's density class and the event."""
-        density = data.density_labels[index]
+        return self.density_matching(data.density_labels[index], event)
+
+    def density_matching(self, density: str, event: str) -> float:
+        """``fem`` of one density class (core/border/noise) and one event."""
         if event == EVENT_STAY and density == DENSITY_CORE:
             return 1.0
         if event == EVENT_PASS and density == DENSITY_NOISE:
@@ -346,11 +379,18 @@ class FeatureExtractor:
         scaled by ``exp(-γ_time · elapsed)`` (the paper's ``e^{-γ''·(t_{i+1}-t_i)}``
         multiplier to Equation 5).
         """
+        return self.step_consistency(
+            region_a, region_b, data.planar_steps[index], data.elapsed_steps[index]
+        )
+
+    def step_consistency(
+        self, region_a: int, region_b: int, observed: float, elapsed: float
+    ) -> float:
+        """``fsc`` of one step given its planar length and elapsed time."""
         expected = self.region_distance(region_a, region_b)
         if math.isinf(expected):
             return 0.0
-        observed = data.planar_steps[index]
-        decay = self._time_decay(data.elapsed_steps[index])
+        decay = self._time_decay(elapsed)
         return math.exp(-self._config.gamma_sc * abs(expected - observed) * decay)
 
     def _time_decay(self, elapsed: Optional[float]) -> float:
@@ -363,7 +403,11 @@ class FeatureExtractor:
         self, data: SequenceData, index: int, event_a: str, event_b: str
     ) -> float:
         """``fec`` for the step ``index → index + 1``."""
-        speed_term = min(1.0, self._config.gamma_ec * data.speeds[index])
+        return self.speed_consistency(data.speeds[index], event_a, event_b)
+
+    def speed_consistency(self, speed: float, event_a: str, event_b: str) -> float:
+        """``fec`` of one step given its apparent speed."""
+        speed_term = min(1.0, self._config.gamma_ec * speed)
         pass_term = (_is_pass(event_a) + _is_pass(event_b)) / 2.0
         return math.exp(-abs(speed_term - pass_term))
 
@@ -451,76 +495,100 @@ class FeatureExtractor:
         tables = data.potentials
         if tables is None:
             candidate_ids = [list(ids) for ids in data.candidates]
-            candidate_pos = [
-                {region_id: pos for pos, region_id in enumerate(ids)}
-                for ids in candidate_ids
-            ]
-            region_base: List[np.ndarray] = []
-            for i, ids in enumerate(candidate_ids):
-                base = np.zeros((len(ids), layout.size), dtype=float)
-                base[:, layout.spatial_matching] = [
-                    self.spatial_matching(data, i, region_id) for region_id in ids
-                ]
-                region_base.append(base)
-            event_base: List[np.ndarray] = []
-            for i in range(n):
-                base = np.zeros((len(EVENT_ORDER), layout.size), dtype=float)
-                base[:, layout.event_matching] = [
-                    self.event_matching(data, i, event) for event in EVENT_ORDER
-                ]
-                event_base.append(base)
             tables = PotentialTables(
                 candidate_ids=candidate_ids,
-                candidate_pos=candidate_pos,
-                region_base=region_base,
-                event_base=event_base,
+                candidate_pos=[self.candidate_positions(ids) for ids in candidate_ids],
+                region_base=[
+                    self.region_row(data.sequence[i], ids, layout)
+                    for i, ids in enumerate(candidate_ids)
+                ],
+                event_base=[
+                    self.event_row(density, layout) for density in data.density_labels
+                ],
             )
             data.potentials = tables
+        ids = tables.candidate_ids
         if transition and tables.fst is None:
             tables.fst = [
-                np.array(
-                    [
-                        [
-                            self.space_transition(
-                                left, right, elapsed=data.elapsed_steps[i]
-                            )
-                            for right in tables.candidate_ids[i + 1]
-                        ]
-                        for left in tables.candidate_ids[i]
-                    ],
-                    dtype=float,
-                ).reshape(len(tables.candidate_ids[i]), len(tables.candidate_ids[i + 1]))
+                self.transition_table(ids[i], ids[i + 1], data.elapsed_steps[i])
                 for i in range(n - 1)
             ]
         if synchronization and tables.fsc is None:
             tables.fsc = [
-                np.array(
-                    [
-                        [
-                            self.spatial_consistency(data, i, left, right)
-                            for right in tables.candidate_ids[i + 1]
-                        ]
-                        for left in tables.candidate_ids[i]
-                    ],
-                    dtype=float,
-                ).reshape(len(tables.candidate_ids[i]), len(tables.candidate_ids[i + 1]))
-                for i in range(n - 1)
-            ]
-        if synchronization and tables.fec is None:
-            tables.fec = [
-                np.array(
-                    [
-                        [
-                            self.event_consistency(data, i, left, right)
-                            for right in EVENT_ORDER
-                        ]
-                        for left in EVENT_ORDER
-                    ],
-                    dtype=float,
+                self.consistency_table(
+                    ids[i], ids[i + 1], data.planar_steps[i], data.elapsed_steps[i]
                 )
                 for i in range(n - 1)
             ]
+        if synchronization and tables.fec is None:
+            tables.fec = [self.event_consistency_table(data.speeds[i]) for i in range(n - 1)]
         return tables
+
+    # ``potential_tables`` and :class:`repro.crf.window.WindowState` tabulate
+    # through these, one node or one step at a time.
+    @staticmethod
+    def candidate_positions(ids: Sequence[int]) -> Dict[int, int]:
+        """Region id → row position in a node's tables."""
+        return {region_id: pos for pos, region_id in enumerate(ids)}
+
+    def region_row(
+        self, record: PositioningRecord, ids: Sequence[int], layout: WeightLayout
+    ) -> np.ndarray:
+        """A node's ``(L, n_weights)`` zero matrix with the ``fsm`` column set."""
+        base = np.zeros((len(ids), layout.size), dtype=float)
+        base[:, layout.spatial_matching] = [
+            self.record_matching(record, region_id) for region_id in ids
+        ]
+        return base
+
+    def event_row(self, density: str, layout: WeightLayout) -> np.ndarray:
+        """A node's ``(2, n_weights)`` zero matrix with the ``fem`` column set."""
+        base = np.zeros((len(EVENT_ORDER), layout.size), dtype=float)
+        base[:, layout.event_matching] = [
+            self.density_matching(density, event) for event in EVENT_ORDER
+        ]
+        return base
+
+    def transition_table(
+        self, left_ids: Sequence[int], right_ids: Sequence[int], elapsed: float
+    ) -> np.ndarray:
+        """The ``(L_i, L_{i+1})`` ``fst`` table of one step."""
+        return np.array(
+            [
+                [self.space_transition(left, right, elapsed=elapsed) for right in right_ids]
+                for left in left_ids
+            ],
+            dtype=float,
+        ).reshape(len(left_ids), len(right_ids))
+
+    def consistency_table(
+        self,
+        left_ids: Sequence[int],
+        right_ids: Sequence[int],
+        observed: float,
+        elapsed: float,
+    ) -> np.ndarray:
+        """The ``(L_i, L_{i+1})`` ``fsc`` table of one step."""
+        return np.array(
+            [
+                [
+                    self.step_consistency(left, right, observed, elapsed)
+                    for right in right_ids
+                ]
+                for left in left_ids
+            ],
+            dtype=float,
+        ).reshape(len(left_ids), len(right_ids))
+
+    def event_consistency_table(self, speed: float) -> np.ndarray:
+        """The ``(2, 2)`` ``fec`` table of one step."""
+        return np.array(
+            [
+                [self.speed_consistency(speed, left, right) for right in EVENT_ORDER]
+                for left in EVENT_ORDER
+            ],
+            dtype=float,
+        )
 
     def segment_statistics(
         self, data: SequenceData, tables: PotentialTables, start: int, end: int

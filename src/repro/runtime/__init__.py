@@ -19,22 +19,15 @@ The runtime layer is the one place batch work is parallelised.  It offers:
   the life of the interpreter, with content-addressed shared-memory
   broadcast segments and :func:`shutdown_pools` for explicit teardown
   (also registered with :mod:`atexit`);
-* :class:`DerivedStateCache` — a bounded, thread-safe LRU for expensive
-  derived state (prepared sequences with their potential tables), keyed by
-  content fingerprints so repeated decodes of the same model skip rebuilds;
-* the fingerprint helpers (:func:`config_fingerprint`,
-  :func:`sequence_fingerprint`, :func:`weights_fingerprint`) used to build
-  those keys.
+* the content fingerprints (:func:`sequence_fingerprint`,
+  :func:`space_fingerprint`) that duplicate coalescing and scenario
+  fingerprints key on.
 """
 
-from repro.runtime.cache import (
-    CacheStats,
-    DerivedStateCache,
-    config_fingerprint,
+from repro.runtime.fingerprint import (
     fingerprint,
     sequence_fingerprint,
     space_fingerprint,
-    weights_fingerprint,
 )
 from repro.runtime.executor import (
     BACKEND_NAMES,
@@ -59,15 +52,12 @@ from repro.runtime.pool import (
 
 __all__ = [
     "BACKEND_NAMES",
-    "CacheStats",
     "DEFAULT_BUCKET_SIZE",
-    "DerivedStateCache",
     "ExecutionPolicy",
     "Executor",
     "UNSET",
     "active_broadcast_epochs",
     "active_pool_workers",
-    "config_fingerprint",
     "fingerprint",
     "map_sharded",
     "map_with_workers",
@@ -78,5 +68,4 @@ __all__ = [
     "shutdown_pools",
     "space_fingerprint",
     "validate_workers",
-    "weights_fingerprint",
 ]

@@ -29,7 +29,9 @@ the space, not just the catalogue:
     scan, over full ranges, sub-intervals and region filters.
 ``replay``
     streaming the scenario through the service equals the batch decode
-    (``replay_scenario(..., exact=True)``).
+    (``replay_scenario(..., exact=True)``), and C2MN sessions at window 8,
+    which decode from append-only window state, finalize and flush exactly
+    what sessions re-running ``predict_labels`` on every window do.
 
 A failing spec is *shrunk* (:func:`shrink_spec`): greedy single-mutation
 descent — fewer objects, shorter duration, adversarial knobs off, simpler
@@ -278,16 +280,58 @@ def oracle_queries(ctx: FuzzContext) -> List[str]:
     return violations
 
 
-def oracle_replay(ctx: FuzzContext) -> List[str]:
-    """Streaming the scenario through the service equals the batch decode."""
-    from repro.service.replay import replay_scenario
+#: Window of the windowed replay check: small, so sessions slide early.
+REPLAY_WINDOW = 8
 
+
+class _ProtocolOnly:
+    """An annotator reduced to the ``Annotator`` surface sessions need, so
+    sessions over it re-run ``predict_labels`` on every window."""
+
+    def __init__(self, annotator):
+        self.name = annotator.name
+        self.is_fitted = annotator.is_fitted
+        self.predict_labels = annotator.predict_labels
+
+
+def oracle_replay(ctx: FuzzContext) -> List[str]:
+    """Streamed service output equals the batch decode, and windowed C2MN
+    sessions finalize what ``predict_labels`` sessions do."""
+    from repro.core.annotator import C2MNAnnotator
+    from repro.core.config import C2MNConfig
+    from repro.service.replay import replay_scenario
+    from repro.service.session import StreamSession
+    from repro.service.store import SemanticsStore
+
+    violations: List[str] = []
     _, report = replay_scenario(
         ctx.scenario, annotator=ctx.annotator(), exact=True
     )
     if report.batch_agreement is False:
-        return ["streamed service output disagrees with the batch decode"]
-    return []
+        violations.append("streamed service output disagrees with the batch decode")
+
+    if not ctx.sequences:
+        return violations
+    labeled = ctx.sequences[0]
+    # A brief fit gives the weights; the check is agreement, not accuracy.
+    c2mn = C2MNAnnotator(
+        ctx.scenario.space,
+        config=C2MNConfig.fast(max_iterations=1, mcmc_samples=2, lbfgs_iterations=1),
+    )
+    c2mn.fit([labeled])
+    windowed, reference = (
+        StreamSession(annotator, labeled.object_id, SemanticsStore(), window=REPLAY_WINDOW)
+        for annotator in (c2mn, _ProtocolOnly(c2mn))
+    )
+    agree = all(
+        windowed.add(record) == reference.add(record) for record in labeled.sequence
+    )
+    if not (agree and windowed.finish() == reference.finish()):
+        violations.append(
+            f"windowed session of {labeled.object_id!r} disagrees with "
+            "re-running predict_labels on every window"
+        )
+    return violations
 
 
 #: The oracle layer, in the order a fuzz pass runs it.

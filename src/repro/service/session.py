@@ -26,6 +26,17 @@ them — and complete equal-label runs of frozen records are merged into
 m-semantics (Figure 2) and published.  The run containing the newest frozen
 record is held back, since upcoming records may extend it.
 
+What a decode recomputes depends on the annotator.  A C2MN annotator hands
+each session an append-only :class:`repro.crf.window.WindowState`: every
+record's candidate regions, nearest region and ``fsm`` row, and every
+step's length, time, speed and ``fst``/``fsc``/``fec`` tables, are prepared
+once, when the record arrives.  Per window the state redoes only what
+depends on the window's extent — ST-DBSCAN density labels, ``fem`` rows,
+the turn flags at the window's two edges and the segment-statistics memo —
+and then ICM re-decodes the whole window.  The labels equal those of
+``predict_labels`` on the same window, which is what sessions over every
+other annotator (the baselines) call.
+
 Memory stays bounded: once a record is both published and outside every
 future decode window, it is dropped from the session (the store holds the
 durable output), so a windowed session retains O(window + pending-run)
@@ -40,9 +51,12 @@ window is at least the sequence length (or the session is created with
 ``exact=True``), every step decodes the full sequence and the stream yields,
 after :meth:`StreamSession.finish`, *exactly* the m-semantics of batch
 ``annotate`` on the whole p-sequence.  The windowed path trades that for
-per-record cost bounded by ``O(W)`` instead of ``O(n)``;
-``tests/test_service.py`` pins the record-level agreement, and the
-repository benchmark (``perfbench/``) times the windowed path over HTTP.
+per-record decode cost bounded by ``O(W)`` instead of ``O(n)`` (an exact
+C2MN session still prepares each record only once);
+``tests/test_service.py`` pins the record-level agreement,
+``tests/test_window_state.py`` pins every window-state decode to
+``predict_labels``, and the repository benchmark (``perfbench/``) times the
+windowed path over HTTP.
 """
 
 from __future__ import annotations
@@ -86,6 +100,10 @@ class StreamSession:
         self.guard = guard
         self.exact = exact
         self.keep_history = keep_history
+        # Annotators with a window-state factory (C2MN) decode each window
+        # from append-only state; the rest re-run predict_labels on it.
+        factory = getattr(annotator, "window_state", None)
+        self._state = factory(object_id) if factory is not None else None
         # Retained suffix of the stream; absolute position i lives at list
         # index i - _offset.  _offset stays 0 when keep_history is set.
         self._records: List[PositioningRecord] = []
@@ -161,11 +179,15 @@ class StreamSession:
             raise ValueError("cannot add records to a finished session")
         if self._records and record.timestamp < self._records[-1].timestamp:
             raise ValueError("streaming records must arrive in time order")
+        # Read once: a concurrent finish() may release the state mid-add.
+        state = self._state
+        if state is not None:
+            state.append(record)
         self._records.append(record)
         self._regions.append(0)
         self._events.append("pass")
         self._total += 1
-        self._decode_tail()
+        self._decode_tail(state)
         finalized = self._finalize(upto=self._frozen_boundary())
         self._compact()
         return finalized
@@ -197,6 +219,7 @@ class StreamSession:
             if self._closed:
                 return []
             self._closed = True
+            self._state = None
             flushed = self._finalize(upto=self._total)
         if self._on_finish is not None:
             self._on_finish(self)
@@ -213,14 +236,25 @@ class StreamSession:
         start = self._window_start(self._total)
         return 0 if start == 0 else start + self.guard
 
-    def _decode_tail(self) -> None:
-        """Re-decode the tail window and commit labels outside the guard band."""
+    def _decode_tail(self, state) -> None:
+        """Re-decode the tail window and commit labels outside the guard band.
+
+        With a window state only the newest record was prepared (by
+        :meth:`add`); the state assembles the window from retained rows and
+        re-runs ICM on it.  Without one, ``predict_labels`` prepares and
+        decodes the whole window.  Both give the same labels.
+        """
         n = self._total
         start = self._window_start(n)
-        tail = PositioningSequence(
-            self._records[start - self._offset :], object_id=self.object_id, sort=False
-        )
-        regions, events = self.annotator.predict_labels(tail)
+        if state is not None:
+            regions, events = state.decode(start)
+        else:
+            tail = PositioningSequence(
+                self._records[start - self._offset :],
+                object_id=self.object_id,
+                sort=False,
+            )
+            regions, events = self.annotator.predict_labels(tail)
         self._decodes += 1
         commit_from = 0 if start == 0 else start + self.guard
         for i in range(commit_from, n):

@@ -94,7 +94,7 @@ class TestDecodeIcmMany:
         train, test = small_split
         annotator.fit(train.sequences[:2])
         datas = [
-            annotator._prepared(labeled.sequence) for labeled in test.sequences
+            annotator.prepare(labeled.sequence) for labeled in test.sequences
         ]
         return annotator._engine, datas
 

@@ -1,24 +1,18 @@
 """Unit tests of the execution runtime (:mod:`repro.runtime`).
 
 Covers the executor contract (uniform argument validation, sharding,
-ordered gathering, backend equivalence, broadcast semantics), the derived
-state cache (LRU behaviour, statistics, pickling) and the content
-fingerprints that key it.
+ordered gathering, backend equivalence, broadcast semantics) and the
+content fingerprints.
 """
 
 from __future__ import annotations
 
-import pickle
-
 import pytest
 
-from repro.core import C2MNAnnotator, C2MNConfig
 from repro.mobility.records import PositioningSequence
 from repro.runtime import (
     BACKEND_NAMES,
-    DerivedStateCache,
     Executor,
-    config_fingerprint,
     fingerprint,
     map_sharded,
     map_with_workers,
@@ -27,7 +21,6 @@ from repro.runtime import (
     shard_indices,
     space_fingerprint,
     validate_workers,
-    weights_fingerprint,
 )
 
 
@@ -162,80 +155,12 @@ class TestExecutorMap:
 
 
 # --------------------------------------------------------------------------
-# Derived-state cache
-# --------------------------------------------------------------------------
-class TestDerivedStateCache:
-    def test_get_or_build_builds_once(self):
-        cache = DerivedStateCache()
-        calls = []
-
-        def build():
-            calls.append(1)
-            return "value"
-
-        assert cache.get_or_build("k", build) == "value"
-        assert cache.get_or_build("k", build) == "value"
-        assert len(calls) == 1
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
-        assert cache.stats.hit_rate == 0.5
-
-    def test_lru_eviction_order(self):
-        cache = DerivedStateCache(max_entries=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refresh "a"; "b" becomes least recent
-        cache.put("c", 3)
-        assert "b" not in cache
-        assert cache.get("a") == 1
-        assert cache.get("c") == 3
-        assert cache.stats.evictions == 1
-
-    def test_get_miss_returns_none(self):
-        cache = DerivedStateCache()
-        assert cache.get("absent") is None
-        assert cache.stats.misses == 1
-
-    def test_put_overwrites(self):
-        cache = DerivedStateCache()
-        cache.put("k", 1)
-        cache.put("k", 2)
-        assert cache.get("k") == 2
-        assert len(cache) == 1
-
-    def test_clear(self):
-        cache = DerivedStateCache()
-        cache.put("k", 1)
-        cache.clear()
-        assert len(cache) == 0
-
-    def test_invalid_max_entries(self):
-        with pytest.raises(ValueError):
-            DerivedStateCache(max_entries=0)
-
-    def test_pickle_ships_settings_not_entries(self):
-        cache = DerivedStateCache(max_entries=7)
-        cache.put("k", object())
-        clone = pickle.loads(pickle.dumps(cache))
-        assert clone.max_entries == 7
-        assert len(clone) == 0
-        clone.put("x", 1)  # the clone must be fully functional (lock restored)
-        assert clone.get("x") == 1
-
-
-# --------------------------------------------------------------------------
 # Fingerprints
 # --------------------------------------------------------------------------
 class TestFingerprints:
     def test_fingerprint_part_boundaries(self):
         assert fingerprint("ab", "c") != fingerprint("a", "bc")
         assert fingerprint("ab", "c") == fingerprint("ab", "c")
-
-    def test_config_fingerprint_tracks_content(self):
-        base = C2MNConfig.fast()
-        assert config_fingerprint(base) == config_fingerprint(C2MNConfig.fast())
-        changed = C2MNConfig.fast(icm_sweeps=base.icm_sweeps + 1)
-        assert config_fingerprint(base) != config_fingerprint(changed)
 
     def test_sequence_fingerprint_tracks_records(self, small_split):
         _, test = small_split
@@ -248,70 +173,9 @@ class TestFingerprints:
         )
         assert sequence_fingerprint(first) != sequence_fingerprint(shifted)
 
-    def test_weights_fingerprint(self):
-        import numpy as np
-
-        a = np.array([1.0, 2.0, 3.0])
-        assert weights_fingerprint(a) == weights_fingerprint(a.copy())
-        assert weights_fingerprint(a) != weights_fingerprint(a + 1e-9)
-
     def test_space_fingerprint_tracks_venue(self, small_space, office_space):
         from repro.indoor import build_mall_space
 
         rebuilt = build_mall_space(floors=1, shops_per_side=4)
         assert space_fingerprint(small_space) == space_fingerprint(rebuilt)
         assert space_fingerprint(small_space) != space_fingerprint(office_space)
-
-
-# --------------------------------------------------------------------------
-# Cache wired into the annotator
-# --------------------------------------------------------------------------
-class TestAnnotatorCache:
-    def test_cached_decode_is_identical_and_hits(self, small_space, small_split):
-        train, test = small_split
-        config = C2MNConfig.fast(
-            max_iterations=1, mcmc_samples=2, lbfgs_iterations=1, icm_sweeps=2
-        )
-        plain = C2MNAnnotator(small_space, config=config)
-        plain.fit(train.sequences[:2])
-
-        cached = C2MNAnnotator(small_space, config=config)
-        assert cached.cache is None
-        cache = cached.enable_cache()
-        assert cached.enable_cache() is cache  # idempotent
-        cached._restore_weights(plain.weights)
-
-        sequences = [labeled.sequence for labeled in test.sequences]
-        expected = plain.predict_labels_many(sequences)
-        first = cached.predict_labels_many(sequences)
-        second = cached.predict_labels_many(sequences)
-        assert first == expected
-        assert second == expected
-        assert cache.stats.misses == len(sequences)
-        assert cache.stats.hits == len(sequences)
-
-    def test_shared_cache_keeps_venues_apart(self, small_space, office_space):
-        """One cache shared by annotators on different venues must never
-        serve one venue's prepared state to the other."""
-        config = C2MNConfig.fast()
-        shared = DerivedStateCache()
-        mall = C2MNAnnotator(small_space, config=config, cache=shared)
-        office = C2MNAnnotator(office_space, config=config, cache=shared)
-        assert mall._config_key != office._config_key
-
-    def test_pickled_cached_annotator_starts_cold_but_decodes_identically(
-        self, fitted_annotator, small_split
-    ):
-        _, test = small_split
-        sequence = test.sequences[0].sequence
-        expected = fitted_annotator.predict_labels(sequence)
-
-        cached = pickle.loads(pickle.dumps(fitted_annotator))
-        cache = cached.enable_cache()
-        assert cached.predict_labels(sequence) == expected
-        assert cache.stats.misses == 1
-
-        clone = pickle.loads(pickle.dumps(cached))
-        assert len(clone.cache) == 0  # entries never ship through the pipe
-        assert clone.cache.max_entries == cache.max_entries
-        assert clone.predict_labels(sequence) == expected

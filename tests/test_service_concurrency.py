@@ -16,6 +16,22 @@ from repro.mobility.records import LabeledSequence, PositioningSequence
 from repro.service.service import AnnotationService
 
 
+#: Records each streamed session takes: past the service's 48-record window,
+#: so every session still slides it, without decoding the whole sequence.
+CHURN_PREFIX = 64
+
+
+def _prefix(labeled):
+    """The first ``CHURN_PREFIX`` records of a labeled sequence."""
+    return LabeledSequence(
+        PositioningSequence(
+            list(labeled.sequence)[:CHURN_PREFIX], object_id=labeled.object_id, sort=False
+        ),
+        labeled.region_labels[:CHURN_PREFIX],
+        labeled.event_labels[:CHURN_PREFIX],
+    )
+
+
 def _reference_store(annotator, sequences):
     """Serial replay of ``sequences``; returns {object_id: semantics}."""
     service = AnnotationService(annotator)
@@ -31,7 +47,7 @@ def _reference_store(annotator, sequences):
 
 def test_concurrent_mixed_workload_matches_serial(fitted_annotator, small_split):
     _, test = small_split
-    sequences = list(test.sequences)
+    sequences = [_prefix(labeled) for labeled in test.sequences]
     reference = _reference_store(fitted_annotator, sequences)
     service = AnnotationService(fitted_annotator)
     errors = []
@@ -124,7 +140,7 @@ def test_concurrent_finish_all_races_http_style_finishes(
     fitted_annotator, small_split
 ):
     _, test = small_split
-    sequences = list(test.sequences)
+    sequences = [_prefix(labeled) for labeled in test.sequences]
     reference = _reference_store(fitted_annotator, sequences)
 
     service = AnnotationService(fitted_annotator)
@@ -168,21 +184,9 @@ def test_concurrent_finish_all_races_http_style_finishes(
         )
 
 
-#: Records each churned session streams: past the service's 48-record window,
-#: so every session still slides it, without decoding the whole sequence.
-CHURN_PREFIX = 64
-
-
 def test_session_registry_churn_under_threads(fitted_annotator, small_split):
     _, test = small_split
-    full = test.sequences[0]
-    labeled = LabeledSequence(
-        PositioningSequence(
-            list(full.sequence)[:CHURN_PREFIX], object_id=full.object_id, sort=False
-        ),
-        full.region_labels[:CHURN_PREFIX],
-        full.event_labels[:CHURN_PREFIX],
-    )
+    labeled = _prefix(test.sequences[0])
     assert len(labeled) > AnnotationService.DEFAULT_WINDOW
     service = AnnotationService(fitted_annotator)
     errors = []
